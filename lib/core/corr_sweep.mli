@@ -154,17 +154,19 @@ module Inc : sig
       image [a] (e.g. the {!combination} result), O(M). *)
 
   val note_step : t -> unit
-  (** Count one completed movement step toward the refresh cadence. *)
+  (** Count one completed movement step toward this state's own refresh
+      cadence. The path solvers keep theirs in [Shard_sweep], whose
+      shards run [refresh = 0] and receive refreshes explicitly. *)
 
   val due : t -> bool
   (** Whether the cadence calls for an exact refresh now. *)
 
   val refresh : t -> Linalg.Vec.t -> unit
   (** [refresh t r] replaces [c] by an exact sweep of [r] and resets
-      the cadence counter. Solvers call this on cadence {e and} at
-      every checkpoint emission, so a resumed run (which starts from an
-      exact sweep at the checkpoint) stays bitwise equal to the
-      uninterrupted run. *)
+      the cadence counter. The solvers' backend calls this on cadence
+      {e and} at every checkpoint emission, so a resumed run (which
+      starts from an exact sweep at the checkpoint) stays bitwise equal
+      to the uninterrupted run. *)
 
   val argmax_abs : skip:bool array -> t -> int * float
   (** Selection over the maintained vector — sequential O(M), same

@@ -16,7 +16,6 @@ type step = {
    materialized once into the per-fit cache (K floats each) — the only
    columns LAR ever touches individually. *)
 type state = {
-  src : Provider.t;
   cache : Provider.Cache.t;
   norms : Vec.t;
   k : int;
@@ -107,80 +106,180 @@ let capture st ~mode ~scale ~f events =
     beta_digest = Ckpt.digest st.beta;
   }
 
-(* Replay the checkpointed event log against the design provider. The
-   recorded gammas replace the two O(K·M) sweeps of every live step, so
-   replay costs O(E·p·K) (active-column dots only) yet reproduces
-   mu/beta/active/chol — and every step record — bit-for-bit: each
-   arithmetic sequence below is the exact sequence the live loop runs.
-   The terminal digests/sets in the checkpoint then guard against
-   resuming with different data, mode or [on_singular] policy. *)
-let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
-  let fail msg = invalid_arg ("Lars.path: resume: " ^ msg) in
-  if ck.Ckpt.k <> st.k || ck.Ckpt.m <> st.m then
-    fail
-      (Printf.sprintf "checkpoint shape %dx%d disagrees with problem %dx%d"
-         ck.Ckpt.k ck.Ckpt.m st.k st.m);
-  if ck.Ckpt.mode <> mode_tag mode then
-    fail
-      (Printf.sprintf "checkpoint mode %s disagrees with requested mode %s"
-         ck.Ckpt.mode (mode_tag mode));
-  Array.iter
-    (fun (e : Ckpt.event) ->
-      if !stop then fail "events continue past a terminal state";
-      (* A live ban consumes its whole iteration as a zero-length step:
-         no add, no drop, no movement. Replay it the same way. *)
-      if e.banned >= 0 then begin
-        (match on_singular with
-        | `Stop ->
-            fail
-              "checkpoint recorded a banned column (was it written with \
-               ~on_singular:`Fallback?)"
-        | `Fallback -> ());
-        if st.banned.(e.banned) then fail "column banned twice";
-        if e.added >= 0 || e.dropped >= 0 || e.gamma <> 0. then
-          fail "ban event must be a zero-length step";
-        if st.active = [] then fail "ban event with an empty active set";
-        st.banned.(e.banned) <- true;
-        st.notes <-
-          Printf.sprintf "lars: banned dependent column %d" e.banned
-          :: st.notes;
-        let act = active_oldest_first st in
-        let res = Vec.sub f st.mu in
-        let cc =
-          Array.fold_left
-            (fun acc j ->
-              Float.max acc
-                (Float.abs
-                   (Provider.Cache.col_dot st.cache j res /. st.norms.(j))))
-            0. act
-        in
-        steps :=
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: !steps
-      end
-      else begin
-      if e.added >= 0 then begin
-        if st.in_active.(e.added) then fail "column added twice";
-        (match append_to_chol st e.added with
-        | () -> ()
-        | exception Cholesky.Not_positive_definite _ ->
-            fail "replayed entering column is linearly dependent");
-        st.active <- e.added :: st.active;
-        st.in_active.(e.added) <- true
-      end;
-      if st.active = [] then fail "step event with an empty active set";
-      let act = active_oldest_first st in
-      let res = Vec.sub f st.mu in
-      let c =
-        Array.map
-          (fun j -> Provider.Cache.col_dot st.cache j res /. st.norms.(j))
-          act
-      in
-      let s = Array.map (fun cj -> if cj >= 0. then 1. else -1.) c in
-      let z = Cholesky.Grow.solve st.chol s in
-      let sz = Vec.dot s z in
-      if sz <= 0. then fail "non-positive equiangular normalization";
+(* The LAR step, once (Efron et al. 2004): find the entrant, take the
+   equiangular direction, take the γ step with an optional lasso drop.
+   The step consumes two reductions of the O(K·M) sweeps, never the
+   sweeps themselves:
+
+   - correlation phase: a [Shard_sweep.pick] — C over non-banned
+     columns, the entrant and its |c|, and the correlations of the
+     active columns;
+   - direction phase: the γ bound over the inactive columns.
+
+   Three backends produce them. [supply] scans full Gᵀ·v vectors handed
+   in from outside (the fused lockstep drivers); [path_p] takes them
+   from a [Shard_sweep] backend at any shard count, exact or
+   incremental; checkpoint [replay] needs no γ bound at all — it feeds
+   the recorded γ and drop to the same direction and advance code. *)
+module Engine = struct
+  type dir = {
+    added : int option;
+    act : int array;  (* active set, oldest first *)
+    d : float array;  (* coefficient direction, aligned with [act] *)
+    u : Vec.t;  (* fit direction Σ d_p·x_{act.(p)} *)
+    cc : float;
+    a_a : float;
+  }
+
+  (* What the next reduction is for: the correlation scan of the
+     residual, or the step-length scan of the equiangular direction. *)
+  type phase = Corr | Dir of dir | Done
+
+  type t = {
+    st : state;
+    mode : mode;
+    tol : float;
+    on_singular : [ `Stop | `Fallback ];
+    max_steps : int;
+    max_active : int;
+    f : Vec.t;
+    mutable steps_rev : step list;
+    (* One checkpoint event per recorded step, newest first. *)
+    mutable events : Ckpt.event list;
+    mutable nevents : int;
+    mutable initial_c : float;
+    mutable nsteps : int;
+    mutable stop : bool;
+    mutable phase : phase;
+    (* [supply] only: the normalized correlations of the last
+       correlation sweep, read by the same step's γ scan. *)
+    mutable c : Vec.t;
+  }
+
+  let validate src f ~max_steps =
+    if Array.length f <> Provider.rows src then
+      invalid_arg "Lars.path: response length mismatch";
+    if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive"
+
+  let make ~mode ~tol ~on_singular ~norms src f ~max_steps =
+    let k = Provider.rows src and m = Provider.cols src in
+    Array.iteri
+      (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
+      norms;
+    let st =
+      {
+        cache = Provider.Cache.create src;
+        norms;
+        k;
+        m;
+        beta = Array.make m 0.;
+        mu = Array.make k 0.;
+        active = [];
+        in_active = Array.make m false;
+        banned = Array.make m false;
+        notes = [];
+        chol = Cholesky.Grow.create (max (min k m) 1);
+      }
+    in
+    {
+      st;
+      mode;
+      tol;
+      on_singular;
+      max_steps;
+      max_active = min k m;
+      f;
+      steps_rev = [];
+      events = [];
+      nevents = 0;
+      initial_c = 0.;
+      nsteps = 0;
+      stop = false;
+      phase = Corr;
+      c = [||];
+    }
+
+  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
+      ~max_steps =
+    validate src f ~max_steps;
+    make ~mode ~tol ~on_singular
+      ~norms:(Provider.column_norms ?pool src)
+      src f ~max_steps
+
+  let finished t = t.phase = Done
+  let residual t = Vec.sub t.f t.st.mu
+  let steps t = Array.of_list (List.rev t.steps_rev)
+
+  let request t =
+    match t.phase with
+    | Corr -> residual t
+    | Dir { u; _ } -> u
+    | Done -> invalid_arg "Lars.Engine.request: engine is finished"
+
+  (* The loop head: the walk continues only while not stopped and under
+     the step budget. *)
+  let settle t =
+    t.phase <- (if t.stop || t.nsteps >= t.max_steps then Done else Corr)
+
+  let halt t =
+    t.stop <- true;
+    settle t
+
+  let record t ~added ~banned ~dropped ~gamma ~cc =
+    let idx = function Some j -> j | None -> -1 in
+    t.steps_rev <-
+      { added; dropped; max_corr = cc; model = current_model t.st }
+      :: t.steps_rev;
+    t.events <-
+      { Ckpt.added = idx added; banned; dropped = idx dropped; gamma }
+      :: t.events;
+    t.nevents <- t.nevents + 1
+
+  (* Correlation lookup over the gathered (column, value) pairs. *)
+  let lookup pairs =
+    let tbl = Hashtbl.create 16 in
+    Array.iter (fun (j, v) -> Hashtbl.replace tbl j v) pairs;
+    fun j ->
+      match Hashtbl.find_opt tbl j with
+      | Some v -> v
+      | None -> invalid_arg "Lars.path: internal: correlation not gathered"
+
+  (* C recomputed over the active set (they are all equal up to
+     numerical noise; use the max for robustness). *)
+  let max_abs_corr act cval =
+    Array.fold_left (fun acc j -> Float.max acc (Float.abs (cval j))) 0. act
+
+  let enter st j =
+    st.active <- j :: st.active;
+    st.in_active.(j) <- true
+
+  let ban_column st j =
+    st.banned.(j) <- true;
+    st.notes <- Printf.sprintf "lars: banned dependent column %d" j :: st.notes
+
+  (* A ban consumes the iteration without moving. The column that should
+     enter instead is usually already at the correlation tie, so its γ
+     candidate is ~0 and the scan would reject it — the step would then
+     run unbounded past the tie and leave the active set
+     non-equicorrelated for good (observed as a 2-cycle that never
+     reaches the LS point). Record a zero-length step so the ban lands
+     in the path and the event log; the next iteration re-scans without
+     the column and hands the step to the true entrant. *)
+  let ban_step t j cval =
+    record t ~added:None ~banned:j ~dropped:None ~gamma:0.
+      ~cc:(max_abs_corr (active_oldest_first t.st) cval)
+
+  (* Equiangular direction: z = Gram⁻¹·s, A = 1/√(sᵀz), coefficient
+     direction d_j = A·z_j, fit direction u = Σ d_j x_j. [None] when the
+     normalization is not positive. *)
+  let direction t ~added cval =
+    let st = t.st in
+    let act = active_oldest_first st in
+    let s = Array.map (fun j -> if cval j >= 0. then 1. else -1.) act in
+    let z = Cholesky.Grow.solve st.chol s in
+    let sz = Vec.dot s z in
+    if sz <= 0. then None
+    else begin
       let a_a = 1. /. sqrt sz in
       let d = Array.map (fun zj -> a_a *. zj) z in
       let u = Array.make st.k 0. in
@@ -192,482 +291,280 @@ let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
             u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
           done)
         act;
-      let cc =
-        Array.fold_left (fun acc cj -> Float.max acc (Float.abs cj)) 0. c
-      in
-      let gamma = e.Ckpt.gamma in
-      Array.iteri
-        (fun p j -> st.beta.(j) <- st.beta.(j) +. (gamma *. d.(p)))
-        act;
-      Vec.axpy gamma u st.mu;
-      let dropped =
-        if e.dropped >= 0 then begin
-          if mode <> Lasso then fail "drop event outside lasso mode";
-          if not st.in_active.(e.dropped) then
-            fail "replayed drop of an inactive column";
-          st.beta.(e.dropped) <- 0.;
-          st.active <- List.filter (fun j -> j <> e.dropped) st.active;
-          st.in_active.(e.dropped) <- false;
-          (match rebuild_chol st with
-          | () -> ()
+      Some { added; act; d; u; cc = max_abs_corr act cval; a_a }
+    end
+
+  (* u as the active-set combination Σ w_p·g_{j_p} over raw columns. *)
+  let weights t dir =
+    Array.mapi (fun p j -> (j, dir.d.(p) /. t.st.norms.(j))) dir.act
+
+  (* Advance by γ along the direction, then apply the lasso drop (which
+     only zeroes an already-crossed coefficient and rebuilds the factor;
+     mu does not move again), and record the step. When γ = C/A the
+     full-LS endpoint of the active set was reached; the residual is
+     then uncorrelated with every active column and the tol test stops
+     the next iteration. *)
+  let advance t dir ~gamma ~drop =
+    let st = t.st in
+    Array.iteri
+      (fun p j -> st.beta.(j) <- st.beta.(j) +. (gamma *. dir.d.(p)))
+      dir.act;
+    Vec.axpy gamma dir.u st.mu;
+    if drop >= 0 then begin
+      st.beta.(drop) <- 0.;
+      st.active <- List.filter (fun j -> j <> drop) st.active;
+      st.in_active.(drop) <- false;
+      match rebuild_chol st with
+      | () -> ()
+      | exception (Cholesky.Not_positive_definite _ as e) -> (
+          match t.on_singular with
+          | `Stop -> raise e
+          | `Fallback ->
+              (* The remaining active Gram factor itself went non-SPD:
+                 no usable direction is left; end the path at the last
+                 consistent model. *)
+              st.notes <-
+                "lars: stopped on non-SPD active set after drop" :: st.notes;
+              t.stop <- true)
+    end;
+    record t ~added:dir.added ~banned:(-1)
+      ~dropped:(if drop >= 0 then Some drop else None)
+      ~gamma ~cc:dir.cc
+
+  (* Correlation phase. C comes from the best column overall; the
+     entering variable is the best inactive one, added unless the active
+     set is saturated or it is not at the correlation tie (a lasso drop
+     just occurred). A linearly dependent entrant is skipped under
+     [`Stop] and banned under [`Fallback]. Returns the entry outcome so
+     a backend can mirror it. *)
+  let corr_step t (p : Shard_sweep.pick) =
+    let st = t.st in
+    t.nsteps <- t.nsteps + 1;
+    if t.nsteps = 1 then t.initial_c <- p.big_c;
+    if p.big_c <= t.tol *. Float.max t.initial_c 1. then begin
+      halt t;
+      `Held
+    end
+    else begin
+      let cval = lookup (Array.append p.act_c [| (p.enter, p.enter_val) |]) in
+      let entry =
+        if
+          p.enter >= 0
+          && List.length st.active < t.max_active
+          && p.enter_abs >= p.big_c -. (1e-9 *. p.big_c) -. 1e-15
+        then
+          match append_to_chol st p.enter with
+          | () ->
+              enter st p.enter;
+              `Entered p.enter
           | exception Cholesky.Not_positive_definite _ -> (
-              match on_singular with
-              | `Stop -> fail "non-SPD active set after replayed drop"
+              match t.on_singular with
+              | `Stop -> `Held
               | `Fallback ->
-                  st.notes <-
-                    "lars: stopped on non-SPD active set after drop"
-                    :: st.notes;
-                  stop := true));
-          Some e.Ckpt.dropped
-        end
-        else None
+                  ban_column st p.enter;
+                  `Banned p.enter)
+        else `Held
       in
-      let added = if e.added >= 0 then Some e.Ckpt.added else None in
-      steps :=
-        { added; dropped; max_corr = cc; model = current_model st } :: !steps
-      end)
-    ck.Ckpt.events;
-  if active_oldest_first st <> ck.Ckpt.active then
-    fail "replayed active set disagrees with the checkpoint";
-  if banned_columns st <> ck.Ckpt.banned then
-    fail "replayed banned set disagrees with the checkpoint";
-  if Array.of_list (List.rev st.notes) <> ck.Ckpt.notes then
-    fail "replayed notes disagree with the checkpoint";
-  if residual_signs st f <> ck.Ckpt.signs then
-    fail "replayed correlation signs disagree with the checkpoint";
-  if Ckpt.digest st.mu <> ck.Ckpt.mu_digest then
-    fail "fit-vector digest mismatch (different data or flags?)";
-  if Ckpt.digest st.beta <> ck.Ckpt.beta_digest then
-    fail "coefficient digest mismatch (different data or flags?)"
+      (if st.active = [] then halt t
+       else
+         match entry with
+         | `Banned j ->
+             ban_step t j cval;
+             settle t
+         | `Entered _ | `Held -> (
+             let added = match entry with `Entered j -> Some j | _ -> None in
+             match direction t ~added cval with
+             | None -> halt t
+             | Some dir -> t.phase <- Dir dir));
+      entry
+    end
+
+  (* Direction phase: γ is the first crossing — an inactive column
+     catching up ([bound]), the saturation step C/A, or (lasso) an
+     active coefficient reaching zero at γ = −β_j/d_j. Returns (γ, drop),
+     drop = -1 when none. *)
+  let dir_step t dir ~bound =
+    let gamma = ref (dir.cc /. dir.a_a) in
+    if bound < !gamma then gamma := bound;
+    let drop = ref (-1) in
+    if t.mode = Lasso then
+      Array.iteri
+        (fun p j ->
+          if dir.d.(p) <> 0. then begin
+            let gz = -.t.st.beta.(j) /. dir.d.(p) in
+            if gz > 1e-12 && gz < !gamma then begin
+              gamma := gz;
+              drop := j
+            end
+          end)
+        dir.act;
+    advance t dir ~gamma:!gamma ~drop:!drop;
+    settle t;
+    (!gamma, !drop)
+
+  let supply t g =
+    let st = t.st in
+    match t.phase with
+    | Corr ->
+        let c, pick =
+          Shard_sweep.scan_pick ~base:0 ~norms:st.norms ~active:st.in_active
+            ~banned:st.banned g
+        in
+        t.c <- c;
+        ignore (corr_step t pick)
+    | Dir dir ->
+        ignore
+          (dir_step t dir
+             ~bound:
+               (Shard_sweep.scan_gamma ~norms:st.norms ~active:st.in_active
+                  ~banned:st.banned ~c:t.c ~cc:dir.cc ~a_a:dir.a_a g))
+    | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
+
+  (* Replay a checkpoint's event log through the step code above. The
+     recorded γ and drop replace the two O(K·M) sweeps of every live
+     step and the active correlations come from exact per-column dots
+     over cached columns (bitwise the entries of a live Gᵀ·r sweep), so
+     replay costs O(E·p·K) yet reproduces mu/beta/active/chol and every
+     step record bit-for-bit. The terminal digests and sets in the
+     checkpoint then guard against resuming with different data, mode or
+     [on_singular] policy. *)
+  let replay t (ck : Ckpt.t) =
+    let st = t.st in
+    let fail msg = invalid_arg ("Lars.path: resume: " ^ msg) in
+    if ck.Ckpt.k <> st.k || ck.Ckpt.m <> st.m then
+      fail
+        (Printf.sprintf "checkpoint shape %dx%d disagrees with problem %dx%d"
+           ck.Ckpt.k ck.Ckpt.m st.k st.m);
+    if ck.Ckpt.mode <> mode_tag t.mode then
+      fail
+        (Printf.sprintf "checkpoint mode %s disagrees with requested mode %s"
+           ck.Ckpt.mode (mode_tag t.mode));
+    let exact_corr () =
+      let res = residual t in
+      lookup
+        (Array.map
+           (fun j ->
+             (j, Provider.Cache.col_dot st.cache j res /. st.norms.(j)))
+           (active_oldest_first st))
+    in
+    Array.iter
+      (fun (e : Ckpt.event) ->
+        if t.stop then fail "events continue past a terminal state";
+        if e.banned >= 0 then begin
+          if t.on_singular = `Stop then
+            fail
+              "checkpoint recorded a banned column (was it written with \
+               ~on_singular:`Fallback?)";
+          if st.banned.(e.banned) then fail "column banned twice";
+          if e.added >= 0 || e.dropped >= 0 || e.gamma <> 0. then
+            fail "ban event must be a zero-length step";
+          if st.active = [] then fail "ban event with an empty active set";
+          ban_column st e.banned;
+          ban_step t e.banned (exact_corr ())
+        end
+        else begin
+          if e.added >= 0 then begin
+            if st.in_active.(e.added) then fail "column added twice";
+            match append_to_chol st e.added with
+            | () -> enter st e.added
+            | exception Cholesky.Not_positive_definite _ ->
+                fail "replayed entering column is linearly dependent"
+          end;
+          if st.active = [] then fail "step event with an empty active set";
+          if e.dropped >= 0 && t.mode <> Lasso then
+            fail "drop event outside lasso mode";
+          if e.dropped >= 0 && not st.in_active.(e.dropped) then
+            fail "replayed drop of an inactive column";
+          let added = if e.added >= 0 then Some e.added else None in
+          match direction t ~added (exact_corr ()) with
+          | None -> fail "non-positive equiangular normalization"
+          | Some dir -> (
+              try advance t dir ~gamma:e.gamma ~drop:e.dropped
+              with Cholesky.Not_positive_definite _ ->
+                fail "non-SPD active set after replayed drop")
+        end)
+      ck.Ckpt.events;
+    if active_oldest_first st <> ck.Ckpt.active then
+      fail "replayed active set disagrees with the checkpoint";
+    if banned_columns st <> ck.Ckpt.banned then
+      fail "replayed banned set disagrees with the checkpoint";
+    if Array.of_list (List.rev st.notes) <> ck.Ckpt.notes then
+      fail "replayed notes disagree with the checkpoint";
+    if residual_signs st t.f <> ck.Ckpt.signs then
+      fail "replayed correlation signs disagree with the checkpoint";
+    if Ckpt.digest st.mu <> ck.Ckpt.mu_digest then
+      fail "fit-vector digest mismatch (different data or flags?)";
+    if Ckpt.digest st.beta <> ck.Ckpt.beta_digest then
+      fail "coefficient digest mismatch (different data or flags?)";
+    (* Every non-terminal live iteration records exactly one step, so
+       the iteration counter resumes at the event count. *)
+    t.nsteps <- t.nevents;
+    t.initial_c <- ck.Ckpt.scale;
+    settle t
+end
 
 let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     ?(sweep = Corr_sweep.Exact) ?(shards = 1)
     ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_steps =
-  let k = Provider.rows src and m = Provider.cols src in
-  if Array.length f <> k then invalid_arg "Lars.path: response length mismatch";
-  if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive";
+  Engine.validate src f ~max_steps;
   if checkpoint_every < 0 then
     invalid_arg "Lars.path: negative checkpoint interval";
   if shards < 1 then invalid_arg "Lars.path: shards must be positive";
-  (* Column-sharded sweep engine: the per-step O(K·M) scans decompose
-     over contiguous column shards and merge bitwise (see Shard_sweep).
-     Created against f — with a resume, the post-replay residual is
-     re-swept below, which is exactly the refresh the checkpoint
-     emission ran. *)
-  let eng =
-    if shards > 1 then
-      Some (Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src ~r0:f)
-    else None
+  (* The backend starts from f: a resume re-sweeps the replayed residual
+     below — the same exact refresh the checkpoint emission ran, which
+     is what keeps resumed incremental runs bitwise equal to
+     uninterrupted ones. *)
+  Shard_sweep.run ?pool ?recovered ~mode:shard_mode ~shards ~sweep src ~r0:f
+  @@ fun sh ->
+  let t =
+    Engine.make ~mode ~tol ~on_singular ~norms:(Shard_sweep.raw_norms sh) src
+      f ~max_steps
   in
-  Fun.protect ~finally:(fun () ->
-      match eng with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
-  let norms =
-    match eng with
-    | None -> Provider.column_norms ?pool src
-    | Some e -> Shard_sweep.raw_norms e
-  in
-  Array.iteri
-    (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
-    norms;
-  let st =
-    {
-      src;
-      cache = Provider.Cache.create src;
-      norms;
-      k;
-      m;
-      beta = Array.make m 0.;
-      mu = Array.make k 0.;
-      active = [];
-      in_active = Array.make m false;
-      banned = Array.make m false;
-      notes = [];
-      chol = Cholesky.Grow.create (max (min k m) 1);
-    }
-  in
-  let steps = ref [] in
-  let stop = ref false in
-  let initial_c = ref 0. in
-  let nsteps = ref 0 in
-  (* Event log of the walk so far (newest first): one entry per pushed
-     step, feeding checkpoint capture. *)
-  let events = ref [] in
-  let nevents = ref 0 in
-  let last_ckpt = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some ck ->
-      replay st ck ~mode ~on_singular f steps stop;
-      (* Every non-terminal live iteration pushes exactly one step, so
-         the iteration counter resumes at the event count. *)
-      let n = Array.length ck.Ckpt.events in
-      nsteps := n;
-      nevents := n;
-      last_ckpt := n;
-      events := List.rev (Array.to_list ck.Ckpt.events);
-      initial_c := ck.Ckpt.scale);
-  (* Incremental correlation state, created after any resume replay so
-     its initial exact sweep sees the resumed residual — the same
-     refresh point the uninterrupted run hit when it emitted the
-     checkpoint (emission forces an exact refresh below), which is what
-     keeps resumed incremental runs bitwise equal to uninterrupted
-     ones. Replayed active columns get their Gram columns rebuilt here
-     (same O(K·M) sweeps, hence same values, as the original run's
-     [ensure_gram] calls). *)
-  let inc =
-    match (sweep, eng) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        let ic =
-          Corr_sweep.Inc.create ?pool ~refresh src (Vec.sub f st.mu)
-        in
-        List.iter
-          (fun j ->
-            Corr_sweep.Inc.ensure_gram ic j (Provider.Cache.column st.cache j))
-          (List.rev st.active);
-        Some ic
-  in
-  (* Sharded post-replay sync — the same rebuild [inc] runs above: an
-     exact re-sweep of the resumed residual, the replayed active set's
-     Gram slices (oldest first), and the replayed bans. *)
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
-  in
-  let since = ref 0 in
-  (match eng with
-  | None -> ()
-  | Some e ->
-      if Option.is_some resume then Shard_sweep.refresh e (Vec.sub f st.mu);
+  let st = t.Engine.st in
+  let column j = Provider.Cache.column st.cache j in
+  Option.iter
+    (fun ck ->
+      Engine.replay t ck;
+      Shard_sweep.refresh sh (Engine.residual t);
       List.iter
-        (fun j -> Shard_sweep.activate e j (Provider.Cache.column st.cache j))
+        (fun j -> Shard_sweep.activate sh j (column j))
         (List.rev st.active);
-      Array.iter (fun j -> Shard_sweep.ban e j) (banned_columns st));
-  let emit_checkpoint () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
-        cb (capture st ~mode ~scale:!initial_c ~f !events);
-        last_ckpt := !nevents;
-        (* Checkpoint-aligned exact refresh: see [inc] above. *)
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu));
-        (match eng with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Vec.sub f st.mu);
-            since := 0
-        | _ -> ())
+      Array.iter (Shard_sweep.ban sh) (banned_columns st))
+    resume;
+  let stepped, finish =
+    Shard_sweep.checkpoints sh ~every:checkpoint_every ~on_checkpoint
+      ~capture:(fun () ->
+        capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
+      ~residual:(fun () -> Engine.residual t)
+      ~start:t.Engine.nevents
   in
-  let max_active = min k m in
-  while (not !stop) && !nsteps < max_steps do
-    incr nsteps;
-    (* Correlations of every column with the residual. Exact mode runs
-       the column-parallel Gᵀ·r sweep (bitwise equal to the sequential
-       per-column xdot); incremental mode reads the delta-maintained
-       vector — O(M) instead of O(K·M). *)
-    (* C from the best column overall; the entering variable is the best
-       inactive one.  [cval] reads the normalized correlation at a
-       column the step later touches: the full vector when the scan ran
-       here, the gathered active/entrant values when it ran sharded
-       (those are the only columns the parent-side step reads). *)
-    let big_c = ref 0. and enter = ref (-1) and enter_c = ref 0. in
-    let cval =
-      match eng with
-      | None ->
-          let gtr =
-            match inc with
-            | None -> Corr_sweep.gram_tr ?pool st.src (Vec.sub f st.mu)
-            | Some ic -> Corr_sweep.Inc.correlations ic
-          in
-          let c = Array.init m (fun j -> gtr.(j) /. st.norms.(j)) in
-          for j = 0 to m - 1 do
-            let a = Float.abs c.(j) in
-            (* Banned columns are out of the walk: letting one set C
-               would hold the stop criterion hostage and fail the
-               near-tie entry test against a correlation nothing can
-               ever act on. *)
-            if (not st.banned.(j)) && a > !big_c then big_c := a;
-            if (not st.in_active.(j)) && (not st.banned.(j)) && a > !enter_c
-            then begin
-              enter := j;
-              enter_c := a
-            end
-          done;
-          fun j -> c.(j)
-      | Some e ->
-          let p = Shard_sweep.lars_select e ~r:(Vec.sub f st.mu) in
-          big_c := p.Shard_sweep.big_c;
-          enter := p.Shard_sweep.enter;
-          enter_c := p.Shard_sweep.enter_abs;
-          let tbl = Hashtbl.create 16 in
-          Array.iter
-            (fun (j, v) -> Hashtbl.replace tbl j v)
-            p.Shard_sweep.act_c;
-          if p.Shard_sweep.enter >= 0 then
-            Hashtbl.replace tbl p.Shard_sweep.enter p.Shard_sweep.enter_val;
-          fun j ->
-            match Hashtbl.find_opt tbl j with
-            | Some v -> v
-            | None ->
-                invalid_arg "Lars.path: internal: correlation not gathered"
-    in
-    if !nsteps = 1 then initial_c := !big_c;
-    if !big_c <= tol *. Float.max !initial_c 1. then stop := true
-    else begin
-      (* Add the entering variable (unless the active set is saturated
-         or a lasso drop just occurred and no variable may enter). *)
-      let banned_now = ref (-1) in
-      let added =
-        if
-          !enter >= 0
-          && List.length st.active < max_active
-          && !enter_c >= !big_c -. (1e-9 *. !big_c) -. 1e-15
-        then begin
-          match append_to_chol st !enter with
-          | () ->
-              st.active <- !enter :: st.active;
-              st.in_active.(!enter) <- true;
-              (* Entering column: cache v_j = Gᵀ·g_j once — the O(K·M)
-                 build that every later delta update amortizes. *)
-              (match inc with
-              | None -> ()
-              | Some ic ->
-                  Corr_sweep.Inc.ensure_gram ic !enter
-                    (Provider.Cache.column st.cache !enter));
-              (match eng with
-              | None -> ()
-              | Some e ->
-                  Shard_sweep.activate e !enter
-                    (Provider.Cache.column st.cache !enter));
-              Some !enter
-          | exception Cholesky.Not_positive_definite _ -> (
-              (* Entering column linearly dependent on the active set. *)
-              match on_singular with
-              | `Stop -> None
-              | `Fallback ->
-                  (* Exclude the dependent column from every later enter
-                     scan so the path keeps moving instead of stalling on
-                     it; record the event in the step models. *)
-                  st.banned.(!enter) <- true;
-                  (match eng with
-                  | None -> ()
-                  | Some e -> Shard_sweep.ban e !enter);
-                  banned_now := !enter;
-                  st.notes <-
-                    Printf.sprintf "lars: banned dependent column %d" !enter
-                    :: st.notes;
-                  None)
-        end
-        else None
-      in
-      if st.active = [] then stop := true
-      else if !banned_now >= 0 then begin
-        (* A ban consumes the iteration without moving. The column that
-           should enter instead is usually already at the correlation
-           tie, so its γ candidate is ~0 and the scan below would
-           reject it — the step would then run unbounded past the tie
-           and leave the active set non-equicorrelated for good
-           (observed as a 2-cycle that never reaches the LS point).
-           Record a zero-length step so the ban lands in the path and
-           the event log; the next iteration re-scans without the
-           column and hands the step to the true entrant. *)
-        let act = active_oldest_first st in
-        let cc =
-          Array.fold_left
-            (fun acc j -> Float.max acc (Float.abs (cval j)))
-            0. act
+  while not (Engine.finished t) do
+    (match t.Engine.phase with
+    | Engine.Corr -> (
+        match
+          Engine.corr_step t
+            (Shard_sweep.lars_select sh ~r:(Engine.residual t))
+        with
+        | `Entered j -> Shard_sweep.activate sh j (column j)
+        | `Banned j -> Shard_sweep.ban sh j
+        | `Held -> ())
+    | Engine.Dir dir ->
+        let bound =
+          Shard_sweep.lars_gamma sh ~cc:dir.Engine.cc ~a_a:dir.Engine.a_a
+            ~u:dir.Engine.u ~weights:(Engine.weights t dir)
         in
-        steps :=
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: !steps;
-        events :=
-          { Ckpt.added = -1; banned = !banned_now; dropped = -1; gamma = 0. }
-          :: !events;
-        incr nevents;
-        if checkpoint_every > 0 && !nevents mod checkpoint_every = 0 then
-          emit_checkpoint ()
-      end
-      else begin
-        let act = active_oldest_first st in
-        let s = Array.map (fun j -> if cval j >= 0. then 1. else -1.) act in
-        (* Equiangular direction: z = Gram⁻¹·s, A = 1/√(sᵀz),
-           coefficient direction d_j = A·z_j, fit direction u = Σ d_j x_j. *)
-        let z = Cholesky.Grow.solve st.chol s in
-        let sz = Vec.dot s z in
-        if sz <= 0. then stop := true
-        else begin
-          let a_a = 1. /. sqrt sz in
-          let d = Array.map (fun zj -> a_a *. zj) z in
-          let u = Array.make k 0. in
-          Array.iteri
-            (fun p j ->
-              let w = d.(p) /. st.norms.(j) in
-              let colj = Provider.Cache.column st.cache j in
-              for r = 0 to k - 1 do
-                u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
-              done)
-            act;
-          (* C recomputed over the active set (they are all equal up to
-             numerical noise; use the max for robustness). *)
-          let cc =
-            Array.fold_left
-              (fun acc j -> Float.max acc (Float.abs (cval j)))
-              0. act
-          in
-          (* Step length to the next entering variable. The inner
-             products of every column with the equiangular direction u
-             are the second Gᵀ·r-shaped sweep of the iteration; the
-             O(M) min scan that follows stays sequential. Incremental
-             mode assembles Gᵀ·u from the cached Gram columns of the
-             active set (u = Σ w_p·x_{j_p}) at O(p·M) — this is the
-             sweep the Gram cache eliminates outright. Sharded runs
-             push both the sweep and the min scan into the shards and
-             fold the exact local minima. *)
-          let gamma = ref (cc /. a_a) in
-          let gu = ref [||] in
-          let sh_dir = ref None in
-          (match eng with
-          | None ->
-              let g =
-                match inc with
-                | None -> Corr_sweep.gram_tr ?pool st.src u
-                | Some ic ->
-                    Corr_sweep.Inc.combination ic
-                      (Array.mapi (fun p j -> (j, d.(p) /. st.norms.(j))) act)
-              in
-              gu := g;
-              for j = 0 to m - 1 do
-                (* Banned columns can never enter, so letting them bound
-                   the step stalls the walk at their crossing point —
-                   skip them like active ones. *)
-                if (not st.in_active.(j)) && not st.banned.(j) then begin
-                  let aj = g.(j) /. st.norms.(j) in
-                  let cand1 = (cc -. cval j) /. (a_a -. aj) in
-                  let cand2 = (cc +. cval j) /. (a_a +. aj) in
-                  if cand1 > 1e-12 && cand1 < !gamma then gamma := cand1;
-                  if cand2 > 1e-12 && cand2 < !gamma then gamma := cand2
-                end
-              done
-          | Some e ->
-              let dir =
-                if sh_incremental then
-                  Shard_sweep.Weights
-                    (Array.mapi (fun p j -> (j, d.(p) /. st.norms.(j))) act)
-                else Shard_sweep.Dense u
-              in
-              sh_dir := Some dir;
-              let g = Shard_sweep.lars_gamma e ~cc ~a_a dir in
-              if g < !gamma then gamma := g);
-          (* Lasso modification: first zero-crossing of an active
-             coefficient bounds the step. *)
-          let drop = ref (-1) in
-          if mode = Lasso then
-            Array.iteri
-              (fun p j ->
-                (* β_j moves by γ·d_j; it crosses zero at γ = −β_j/d_j. *)
-                if d.(p) <> 0. then begin
-                  let gz = -.st.beta.(j) /. d.(p) in
-                  if gz > 1e-12 && gz < !gamma then begin
-                    gamma := gz;
-                    drop := j
-                  end
-                end)
-              act;
-          (* Advance. *)
-          Array.iteri
-            (fun p j -> st.beta.(j) <- st.beta.(j) +. (!gamma *. d.(p)))
-            act;
-          Vec.axpy !gamma u st.mu;
-          (* The residual moved by −γ·u, so c moved by −γ·(Gᵀ·u) — the
-             delta update replacing the next iteration's full sweep.
-             Drops below only zero an already-crossed coefficient and
-             rebuild the factor; they do not move mu, so c needs no
-             further update. *)
-          (match (eng, inc) with
-          | Some e, _ ->
-              if sh_incremental then begin
-                (* Parent-mirrored cadence: the non-sharded Inc counts
-                   movement steps and refreshes when due; the shards
-                   receive retreat and refresh in one logged command so
-                   a worker lost between them replays both. *)
-                incr since;
-                let due = refresh_every > 0 && !since >= refresh_every in
-                let refresh_r = if due then Some (Vec.sub f st.mu) else None in
-                Shard_sweep.commit e ~gamma:!gamma
-                  ~dir:(Option.get !sh_dir) ~refresh:refresh_r;
-                if due then since := 0
-              end
-          | None, Some ic ->
-              Corr_sweep.Inc.retreat ic !gamma !gu;
-              Corr_sweep.Inc.note_step ic;
-              if Corr_sweep.Inc.due ic then
-                Corr_sweep.Inc.refresh ic (Vec.sub f st.mu)
-          | None, None -> ());
-          let dropped =
-            if !drop >= 0 then begin
-              st.beta.(!drop) <- 0.;
-              st.active <- List.filter (fun j -> j <> !drop) st.active;
-              st.in_active.(!drop) <- false;
-              (match eng with
-              | None -> ()
-              | Some e -> Shard_sweep.deactivate e !drop);
-              (match rebuild_chol st with
-              | () -> ()
-              | exception (Cholesky.Not_positive_definite _ as e) -> (
-                  match on_singular with
-                  | `Stop -> raise e
-                  | `Fallback ->
-                      (* The remaining active Gram factor itself went
-                         non-SPD: no usable direction is left; end the
-                         path at the last consistent model. *)
-                      st.notes <-
-                        "lars: stopped on non-SPD active set after drop"
-                        :: st.notes;
-                      stop := true));
-              Some !drop
-            end
-            else None
-          in
-          steps :=
-            { added; dropped; max_corr = cc; model = current_model st }
-            :: !steps;
-          events :=
-            {
-              Ckpt.added = (match added with Some j -> j | None -> -1);
-              banned = !banned_now;
-              dropped = (match dropped with Some j -> j | None -> -1);
-              gamma = !gamma;
-            }
-            :: !events;
-          incr nevents;
-          if checkpoint_every > 0 && !nevents mod checkpoint_every = 0 then
-            emit_checkpoint ()
-          (* When γ = C/A the full-LS endpoint of the active set was
-             reached; the residual is then uncorrelated with every
-             active column and the tol test stops the next iteration. *)
-        end
-      end
-    end
+        let gamma, drop = Engine.dir_step t dir ~bound in
+        Shard_sweep.commit sh ~gamma ~residual:(fun () -> Engine.residual t);
+        if drop >= 0 then Shard_sweep.deactivate sh drop
+    | Engine.Done -> ());
+    stepped t.Engine.nevents
   done;
   (* Terminal checkpoint: whatever the cadence, a completed path leaves
      a checkpoint of its full event log, so resuming from it replays the
      whole walk rather than a stale prefix. *)
-  if !nevents > !last_ckpt then emit_checkpoint ();
-  Array.of_list (List.rev !steps)
+  finish t.Engine.nevents;
+  Engine.steps t
 
 let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
     ?resume ?sweep ?shards ?shard_mode ?recovered src f ~lambda =
@@ -705,267 +602,6 @@ let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
                (Array.length steps) lambda)
   in
   run base_steps
-
-(* Externally-swept LAR walk for the fused lockstep drivers. The walk
-   needs two Gᵀ·v sweeps per movement step — correlations against the
-   residual, then step lengths against the equiangular direction — and
-   the engine exposes exactly that seam: [request] names the K-vector
-   whose sweep is needed next, [supply] feeds the M-length Gᵀ·v back
-   and runs the loop body. Every arithmetic sequence is lifted verbatim
-   from the exact-sweep, unsharded branch of [path_p], so an engine
-   driven by [request]/[supply] with exact sweeps (in particular the
-   per-entry results of {!Corr_sweep.gram_tr_multi}) records the same
-   steps bit-for-bit. *)
-module Engine = struct
-  (* What the next [supply] will be fed: the correlation sweep of the
-     residual, or the step-length sweep of the equiangular direction
-     (with the first sweep's derived state carried across). *)
-  type phase =
-    | Corr
-    | Dir of {
-        added : int option;
-        act : int array;
-        c : float array;
-        d : float array;
-        u : Vec.t;
-        cc : float;
-        a_a : float;
-      }
-    | Done
-
-  type t = {
-    st : state;
-    mode : mode;
-    tol : float;
-    on_singular : [ `Stop | `Fallback ];
-    max_steps : int;
-    max_active : int;
-    f : Vec.t;
-    mutable steps_rev : step list;
-    mutable initial_c : float;
-    mutable nsteps : int;
-    mutable stop : bool;
-    mutable phase : phase;
-  }
-
-  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
-      ~max_steps =
-    let k = Provider.rows src and m = Provider.cols src in
-    if Array.length f <> k then
-      invalid_arg "Lars.path: response length mismatch";
-    if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive";
-    let norms = Provider.column_norms ?pool src in
-    Array.iteri
-      (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
-      norms;
-    let st =
-      {
-        src;
-        cache = Provider.Cache.create src;
-        norms;
-        k;
-        m;
-        beta = Array.make m 0.;
-        mu = Array.make k 0.;
-        active = [];
-        in_active = Array.make m false;
-        banned = Array.make m false;
-        notes = [];
-        chol = Cholesky.Grow.create (max (min k m) 1);
-      }
-    in
-    {
-      st;
-      mode;
-      tol;
-      on_singular;
-      max_steps;
-      max_active = min k m;
-      f;
-      steps_rev = [];
-      initial_c = 0.;
-      nsteps = 0;
-      stop = false;
-      phase = Corr;
-    }
-
-  let finished t = t.phase = Done
-
-  let request t =
-    match t.phase with
-    | Corr -> Vec.sub t.f t.st.mu
-    | Dir { u; _ } -> u
-    | Done -> invalid_arg "Lars.Engine.request: engine is finished"
-
-  (* The loop-head test of [path_p]'s while: the walk continues only
-     while not stopped and under the step budget. *)
-  let settle t =
-    if t.stop || t.nsteps >= t.max_steps then t.phase <- Done
-    else t.phase <- Corr
-
-  let supply_corr t gtr =
-    let st = t.st in
-    t.nsteps <- t.nsteps + 1;
-    let m = st.m in
-    if Array.length gtr <> m then
-      invalid_arg "Lars.Engine.supply: sweep length mismatch";
-    let big_c = ref 0. and enter = ref (-1) and enter_c = ref 0. in
-    let c = Array.init m (fun j -> gtr.(j) /. st.norms.(j)) in
-    for j = 0 to m - 1 do
-      let a = Float.abs c.(j) in
-      if (not st.banned.(j)) && a > !big_c then big_c := a;
-      if (not st.in_active.(j)) && (not st.banned.(j)) && a > !enter_c
-      then begin
-        enter := j;
-        enter_c := a
-      end
-    done;
-    let cval j = c.(j) in
-    if t.nsteps = 1 then t.initial_c <- !big_c;
-    if !big_c <= t.tol *. Float.max t.initial_c 1. then begin
-      t.stop <- true;
-      settle t
-    end
-    else begin
-      let banned_now = ref (-1) in
-      let added =
-        if
-          !enter >= 0
-          && List.length st.active < t.max_active
-          && !enter_c >= !big_c -. (1e-9 *. !big_c) -. 1e-15
-        then begin
-          match append_to_chol st !enter with
-          | () ->
-              st.active <- !enter :: st.active;
-              st.in_active.(!enter) <- true;
-              Some !enter
-          | exception Cholesky.Not_positive_definite _ -> (
-              match t.on_singular with
-              | `Stop -> None
-              | `Fallback ->
-                  st.banned.(!enter) <- true;
-                  banned_now := !enter;
-                  st.notes <-
-                    Printf.sprintf "lars: banned dependent column %d" !enter
-                    :: st.notes;
-                  None)
-        end
-        else None
-      in
-      if st.active = [] then begin
-        t.stop <- true;
-        settle t
-      end
-      else if !banned_now >= 0 then begin
-        (* Zero-length ban step, exactly as in [path_p]: the next
-           correlation sweep re-scans without the banned column. *)
-        let act = active_oldest_first st in
-        let cc =
-          Array.fold_left
-            (fun acc j -> Float.max acc (Float.abs (cval j)))
-            0. act
-        in
-        t.steps_rev <-
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: t.steps_rev;
-        settle t
-      end
-      else begin
-        let act = active_oldest_first st in
-        let s = Array.map (fun j -> if cval j >= 0. then 1. else -1.) act in
-        let z = Cholesky.Grow.solve st.chol s in
-        let sz = Vec.dot s z in
-        if sz <= 0. then begin
-          t.stop <- true;
-          settle t
-        end
-        else begin
-          let a_a = 1. /. sqrt sz in
-          let d = Array.map (fun zj -> a_a *. zj) z in
-          let u = Array.make st.k 0. in
-          Array.iteri
-            (fun p j ->
-              let w = d.(p) /. st.norms.(j) in
-              let colj = Provider.Cache.column st.cache j in
-              for r = 0 to st.k - 1 do
-                u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
-              done)
-            act;
-          let cc =
-            Array.fold_left
-              (fun acc j -> Float.max acc (Float.abs (cval j)))
-              0. act
-          in
-          t.phase <- Dir { added; act; c; d; u; cc; a_a }
-        end
-      end
-    end
-
-  let supply_dir t ~added ~act ~c ~d ~u ~cc ~a_a g =
-    let st = t.st in
-    if Array.length g <> st.m then
-      invalid_arg "Lars.Engine.supply: sweep length mismatch";
-    let cval j = c.(j) in
-    let gamma = ref (cc /. a_a) in
-    for j = 0 to st.m - 1 do
-      if (not st.in_active.(j)) && not st.banned.(j) then begin
-        let aj = g.(j) /. st.norms.(j) in
-        let cand1 = (cc -. cval j) /. (a_a -. aj) in
-        let cand2 = (cc +. cval j) /. (a_a +. aj) in
-        if cand1 > 1e-12 && cand1 < !gamma then gamma := cand1;
-        if cand2 > 1e-12 && cand2 < !gamma then gamma := cand2
-      end
-    done;
-    let drop = ref (-1) in
-    if t.mode = Lasso then
-      Array.iteri
-        (fun p j ->
-          if d.(p) <> 0. then begin
-            let gz = -.st.beta.(j) /. d.(p) in
-            if gz > 1e-12 && gz < !gamma then begin
-              gamma := gz;
-              drop := j
-            end
-          end)
-        act;
-    Array.iteri
-      (fun p j -> st.beta.(j) <- st.beta.(j) +. (!gamma *. d.(p)))
-      act;
-    Vec.axpy !gamma u st.mu;
-    let dropped =
-      if !drop >= 0 then begin
-        st.beta.(!drop) <- 0.;
-        st.active <- List.filter (fun j -> j <> !drop) st.active;
-        st.in_active.(!drop) <- false;
-        (match rebuild_chol st with
-        | () -> ()
-        | exception (Cholesky.Not_positive_definite _ as e) -> (
-            match t.on_singular with
-            | `Stop -> raise e
-            | `Fallback ->
-                st.notes <-
-                  "lars: stopped on non-SPD active set after drop"
-                  :: st.notes;
-                t.stop <- true));
-        Some !drop
-      end
-      else None
-    in
-    t.steps_rev <-
-      { added; dropped; max_corr = cc; model = current_model st }
-      :: t.steps_rev;
-    settle t
-
-  let supply t g =
-    match t.phase with
-    | Corr -> supply_corr t g
-    | Dir { added; act; c; d; u; cc; a_a } ->
-        supply_dir t ~added ~act ~c ~d ~u ~cc ~a_a g
-    | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
-
-  let steps t = Array.of_list (List.rev t.steps_rev)
-end
 
 let path ?mode ?tol ?pool ?on_singular g f ~max_steps =
   path_p ?mode ?tol ?pool ?on_singular (Provider.dense g) f ~max_steps

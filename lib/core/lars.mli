@@ -53,6 +53,13 @@ val path_p :
     the active set saturates at [min(K, M)], or at the final
     unrestricted LS point of the active set.
 
+    [path_p] is a driver over {!Engine}: it feeds the engine the two
+    per-step sweep reductions from a {!Shard_sweep} backend and records
+    the checkpoint event log, while the step itself — entry test,
+    equiangular direction, γ step, lasso drop, ban — is the engine's
+    one copy, shared with the fused CV drivers and with checkpoint
+    replay.
+
     [on_singular] governs degenerate Gram factors. With [`Stop] (the
     default, the historical behavior) a linearly dependent entering
     column is simply not added this step, and a non-SPD rebuild after a
@@ -143,20 +150,23 @@ val fit_p :
     empty model carries a [Model.notes] entry saying so rather than
     being silently zero. Checkpoint arguments behave as in {!path_p}. *)
 
-(** Externally-swept LAR walk — the fused lockstep drivers' seam.
+(** The LAR step engine — the one copy of the step that {!path_p},
+    checkpoint replay and the fused lockstep drivers all run.
 
     The walk needs two [Gᵀ·v] sweeps per movement step (correlations
     against the residual, then step lengths against the equiangular
-    direction). The engine suspends at each: {!Engine.request} names
-    the K-vector whose sweep is needed next, {!Engine.supply} feeds the
-    M-length [Gᵀ·v] back and runs the loop body. Driven with exact
-    sweeps — in particular the per-entry results of
+    direction), and the step consumes only their reductions: C, the
+    entrant and the active-set correlations from the first, the γ bound
+    over inactive columns from the second. The engine suspends at each
+    sweep: {!Engine.request} names the K-vector whose sweep is needed
+    next, {!Engine.supply} feeds the M-length [Gᵀ·v] back, reduces it
+    with the same scan the sweep backends run, and takes the step. Fed
+    exact sweeps — in particular the per-entry results of
     {!Corr_sweep.gram_tr_multi}, which are bitwise equal to independent
-    per-fold sweeps — the recorded steps are bit-for-bit those of
-    {!path_p} with the exact sweep, unsharded and uncheckpointed.
-    Requests from distinct engines are mutually independent, so a fused
-    driver may batch a mix of correlation- and direction-phase requests
-    into one multi sweep. *)
+    per-fold sweeps — it records exactly the steps of {!path_p} with
+    the exact sweep. Requests from distinct engines are mutually
+    independent, so a fused driver may batch a mix of correlation- and
+    direction-phase requests into one multi sweep. *)
 module Engine : sig
   type t
 

@@ -224,7 +224,6 @@ let path_p ?tol ?pool ?on_singular ?(checkpoint_every = 0) ?on_checkpoint
   if shards < 1 then invalid_arg "Omp.path: shards must be positive";
   let eng = Engine.create ?tol ?on_singular src f ~max_lambda in
   let k = eng.Engine.k and m = eng.Engine.m in
-  let last_ckpt = ref 0 in
   (match resume with
   | None -> ()
   | Some c ->
@@ -238,153 +237,54 @@ let path_p ?tol ?pool ?on_singular ?(checkpoint_every = 0) ?on_checkpoint
              "Omp.path: checkpoint shape %dx%d disagrees with problem %dx%d"
              c.k c.m k m);
       Engine.replay eng ~scale:c.scale c.support);
-  last_ckpt := Engine.size eng;
-  (* Column-sharded selection engine, created after any resume replay
-     so its (incremental) initial sweeps see the resumed residual;
-     replayed support columns are re-activated so every shard's Gram
-     slab and skip mask match an uninterrupted run's. *)
-  let sh =
-    if shards > 1 then begin
-      let e =
-        Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src
-          ~r0:(Engine.residual eng)
-      in
-      Array.iter
-        (fun j -> Shard_sweep.activate e j (Engine.column eng j))
-        (Engine.support eng);
-      Some e
-    end
-    else None
+  (* The sweep backend starts after any resume replay, so its
+     (incremental) initial sweep sees the resumed residual — the refresh
+     point the uninterrupted run hit when it emitted the checkpoint.
+     Replayed support columns are activated up front: the first live
+     delta update touches every support coefficient. *)
+  Shard_sweep.run ?pool ?recovered ~mode:shard_mode ~shards ~sweep src
+    ~r0:(Engine.residual eng)
+  @@ fun sh ->
+  let activate j = Shard_sweep.activate sh j (Engine.column eng j) in
+  Array.iter activate (Engine.support eng);
+  let stepped, finish =
+    Shard_sweep.checkpoints sh ~every:checkpoint_every ~on_checkpoint
+      ~capture:(fun () ->
+        {
+          Serialize.Checkpoint.solver = "omp";
+          k;
+          m;
+          scale = Engine.scale eng;
+          support = Engine.support eng;
+        })
+      ~residual:(fun () -> Engine.residual eng)
+      ~start:(Engine.size eng)
   in
-  Fun.protect ~finally:(fun () ->
-      match sh with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
-  in
-  let since = ref 0 in
-  (* Incremental mode: maintain c = Gᵀ·res through cached Gram columns.
-     Created after any resume replay so the initial exact sweep sees the
-     resumed residual — the same refresh point the uninterrupted run hit
-     when it emitted the checkpoint. Replayed support columns are cached
-     up front: the first live delta update touches every support
-     coefficient, not just the entering one. *)
-  let inc =
-    match (sweep, sh) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        let ic =
-          Corr_sweep.Inc.create ?pool ~refresh src (Engine.residual eng)
-        in
-        Array.iter
-          (fun j -> Corr_sweep.Inc.ensure_gram ic j (Engine.column eng j))
-          (Engine.support eng);
-        Some ic
-  in
-  let prev_coeffs = ref (Array.copy (Engine.coeffs eng)) in
-  let emit_now () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
-        cb
-          {
-            Serialize.Checkpoint.solver = "omp";
-            k;
-            m;
-            scale = Engine.scale eng;
-            support = Engine.support eng;
-          };
-        last_ckpt := Engine.size eng;
-        (* Checkpoint-aligned exact refresh: a resumed incremental run
-           rebuilds c from an exact sweep here, so refreshing now keeps
-           the uninterrupted run bitwise equal to any resumed one. *)
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        (match sh with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Engine.residual eng);
-            since := 0
-        | _ -> ())
-  in
-  let emit_checkpoint () =
-    if checkpoint_every > 0 && Engine.size eng mod checkpoint_every = 0 then
-      emit_now ()
-  in
+  let prev_coeffs = ref (Engine.coeffs eng) in
   while not (Engine.finished eng) do
     (* Step 3: inner products of the residual with every basis vector.
        The 1/K factor of eq. (18) is a monotone scaling; the argmax is
-       unaffected, so we keep raw dot products. Exact mode sweeps all
-       columns (bitwise equal to the sequential scan); incremental mode
-       scans the delta-maintained correlation vector. *)
-    let pick =
-      match (sh, inc) with
-      | Some e, _ -> Shard_sweep.select e ~r:(Engine.residual eng)
-      | None, None ->
-          Corr_sweep.argmax_abs ?pool ~skip:(Engine.skip_mask eng) src
-            (Engine.residual eng)
-      | None, Some ic ->
-          Corr_sweep.Inc.argmax_abs ~skip:(Engine.skip_mask eng) ic
-    in
+       unaffected, so we keep raw dot products. *)
+    let pick = Shard_sweep.select sh ~r:(Engine.residual eng) in
     if Engine.advance eng pick then begin
-      (match (sh, inc) with
-      | Some e, _ ->
-          let sup = Engine.support eng and cur = Engine.coeffs eng in
-          let np = Array.length sup in
-          let jnew = sup.(np - 1) in
-          Shard_sweep.activate e jnew (Engine.column eng jnew);
-          if sh_incremental then begin
-            let prev = !prev_coeffs in
-            let deltas =
-              Array.init np (fun q ->
-                  ( sup.(q),
-                    cur.(q)
-                    -. (if q < Array.length prev then prev.(q) else 0.) ))
-            in
-            Shard_sweep.apply_deltas e deltas;
-            prev_coeffs := Array.copy cur;
-            incr since;
-            if refresh_every > 0 && !since >= refresh_every then begin
-              Shard_sweep.refresh e (Engine.residual eng);
-              since := 0
-            end
-          end
-      | None, None -> ()
-      | None, Some ic ->
-          let sup = Engine.support eng and cur = Engine.coeffs eng in
-          let np = Array.length sup in
-          let jnew = sup.(np - 1) in
-          Corr_sweep.Inc.ensure_gram ic jnew (Engine.column eng jnew);
-          let prev = !prev_coeffs in
-          let deltas =
-            Array.init np (fun q ->
-                ( sup.(q),
-                  cur.(q) -. (if q < Array.length prev then prev.(q) else 0.)
-                ))
-          in
-          Corr_sweep.Inc.apply_deltas ic deltas;
-          prev_coeffs := Array.copy cur;
-          Corr_sweep.Inc.note_step ic;
-          if Corr_sweep.Inc.due ic then
-            Corr_sweep.Inc.refresh ic (Engine.residual eng));
-      emit_checkpoint ()
+      let sup = Engine.support eng and cur = Engine.coeffs eng in
+      let prev = !prev_coeffs in
+      activate sup.(Array.length sup - 1);
+      (* The re-fit moved every support coefficient. *)
+      Shard_sweep.apply_deltas sh
+        (Array.mapi
+           (fun q j ->
+             (j, cur.(q) -. if q < Array.length prev then prev.(q) else 0.))
+           sup)
+        ~residual:(fun () -> Engine.residual eng);
+      prev_coeffs := cur;
+      stepped (Engine.size eng)
     end
   done;
   (* Terminal checkpoint: when lambda is not a multiple of the cadence
-     the mod test above skips the final selections, and a resume would
-     replay a stale prefix — always leave the completed support. *)
-  if Engine.size eng > !last_ckpt then emit_now ();
+     the cadence skips the final selections, and a resume would replay
+     a stale prefix — always leave the completed support. *)
+  finish (Engine.size eng);
   Engine.steps eng
 
 let fit_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume

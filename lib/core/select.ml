@@ -59,6 +59,35 @@ let held_out_curve ~max_lambda src f models held_out =
       let m = models.(min l (Array.length models - 1)) in
       Model.error_on_p m src_ho f_ho)
 
+(* The CV λ rule: the fold-mean error curve (the paper's
+   epsilon(lambda)) and the λ it selects — its minimum, or under One_se
+   the smallest λ within one fold-to-fold standard error of the
+   minimum. Shared by the single- and multi-output drivers. *)
+let choose_lambda ~rule ~folds ~max_lambda fold_curves =
+  let fq = float_of_int folds in
+  let curve =
+    Array.init max_lambda (fun l ->
+        Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
+  in
+  let best = Stat.Crossval.argmin curve in
+  let lambda =
+    match rule with
+    | Min_error -> best + 1
+    | One_se ->
+        let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
+        let se =
+          if folds < 2 then 0. else Stat.Descriptive.std at_min /. sqrt fq
+        in
+        let threshold = curve.(best) +. se in
+        let l = ref best in
+        for cand = best - 1 downto 0 do
+          if (not (Float.is_nan curve.(cand))) && curve.(cand) <= threshold
+          then l := cand
+        done;
+        !l + 1
+  in
+  (curve, lambda)
+
 let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
     ?(resume = false) ?fused_curves rng ~max_lambda ~path_models src f =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
@@ -100,33 +129,7 @@ let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
             in
             held_out_curve ~max_lambda src f models held_out)
   in
-  let fq = float_of_int folds in
-  let curve =
-    Array.init max_lambda (fun l ->
-        Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
-  in
-  let best = Stat.Crossval.argmin curve in
-  let lambda =
-    match rule with
-    | Min_error -> best + 1
-    | One_se ->
-        (* Fold-to-fold standard error of the mean at the minimum. *)
-        let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
-        let se =
-          if folds < 2 then 0.
-          else Stat.Descriptive.std at_min /. sqrt fq
-        in
-        let threshold = curve.(best) +. se in
-        let l = ref best in
-        (* Smallest lambda within one SE of the minimum. *)
-        for cand = best - 1 downto 0 do
-          if
-            (not (Float.is_nan curve.(cand)))
-            && curve.(cand) <= threshold
-          then l := cand
-        done;
-        !l + 1
-  in
+  let curve, lambda = choose_lambda ~rule ~folds ~max_lambda fold_curves in
   let final = path_models ~rng:refit_rng src f ~max_lambda:lambda in
   { model = final.(Array.length final - 1); lambda; curve }
 
@@ -191,87 +194,67 @@ let resolve_fused ~sweep ~fused ~shards src =
    while streamed column generation is paid once per round instead of
    once per live job. Jobs are [(f, train, held_out)] with [f] the
    job's full-length response. *)
-let fused_omp_jobs ?on_singular ?pool src ~max_lambda jobs =
+let fused_jobs ~create ~finished ~round ~models src ~max_lambda jobs =
   let engines =
     Array.map
       (fun (f, train, _) ->
         let src_tr = Provider.select_rows src train in
         let f_tr = Array.map (fun i -> f.(i)) train in
-        let ml =
-          min max_lambda (min (Provider.rows src_tr) (Provider.cols src_tr))
-        in
-        (Omp.Engine.create ?on_singular src_tr f_tr ~max_lambda:ml, train))
+        (create src_tr f_tr, train))
       jobs
   in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Omp.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Omp.Engine.residual (fst engines.(i))) live
-        in
-        let skips =
-          Array.map (fun i -> Omp.Engine.skip_mask (fst engines.(i))) live
-        in
-        let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
-        Array.iteri
-          (fun ii i -> ignore (Omp.Engine.advance (fst engines.(i)) picks.(ii)))
-          live
-  done;
+  let rec loop () =
+    let live =
+      Array.of_list
+        (List.filter
+           (fun (e, _) -> not (finished e))
+           (Array.to_list engines))
+    in
+    if Array.length live > 0 then begin
+      round live;
+      loop ()
+    end
+  in
+  loop ();
   Array.mapi
     (fun i (f, _, held_out) ->
-      let models =
-        Array.map (fun s -> s.Omp.model) (Omp.Engine.steps (fst engines.(i)))
-      in
-      held_out_curve ~max_lambda src f models held_out)
+      held_out_curve ~max_lambda src f (models (fst engines.(i))) held_out)
     jobs
 
-let fused_star_jobs ?pool src ~max_lambda jobs =
-  let engines =
-    Array.map
-      (fun (f, train, _) ->
-        let src_tr = Provider.select_rows src train in
-        let f_tr = Array.map (fun i -> f.(i)) train in
-        (Star.Engine.create src_tr f_tr ~max_lambda, train))
-      jobs
+(* The OMP/STAR round: every live job's selection from one fused
+   multi-residual argmax. *)
+let greedy_round ?pool src ~residual ~skip_mask ~advance live =
+  let picks =
+    Corr_sweep.argmax_abs_multi ?pool
+      ~skips:(Array.map (fun (e, _) -> skip_mask e) live)
+      src ~rows:(Array.map snd live)
+      (Array.map (fun (e, _) -> residual e) live)
   in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Star.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Star.Engine.residual (fst engines.(i))) live
-        in
-        let skips =
-          Array.map (fun i -> Star.Engine.skip_mask (fst engines.(i))) live
-        in
-        let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
-        Array.iteri
-          (fun ii i ->
-            ignore (Star.Engine.advance (fst engines.(i)) picks.(ii)))
-          live
-  done;
-  Array.mapi
-    (fun i (f, _, held_out) ->
-      let models =
-        Array.map (fun s -> s.Star.model) (Star.Engine.steps (fst engines.(i)))
+  Array.iteri (fun i (e, _) -> advance e picks.(i)) live
+
+let fused_omp_jobs ?on_singular ?pool src ~max_lambda jobs =
+  let module E = Omp.Engine in
+  fused_jobs src ~max_lambda jobs
+    ~create:(fun src_tr f_tr ->
+      let ml =
+        min max_lambda (min (Provider.rows src_tr) (Provider.cols src_tr))
       in
-      held_out_curve ~max_lambda src f models held_out)
-    jobs
+      E.create ?on_singular src_tr f_tr ~max_lambda:ml)
+    ~finished:E.finished
+    ~round:
+      (greedy_round ?pool src ~residual:E.residual ~skip_mask:E.skip_mask
+         ~advance:(fun e p -> ignore (E.advance e p)))
+    ~models:(fun e -> Array.map (fun s -> s.Omp.model) (E.steps e))
+
+let fused_star_jobs ?pool src ~max_lambda jobs =
+  let module E = Star.Engine in
+  fused_jobs src ~max_lambda jobs
+    ~create:(fun src_tr f_tr -> E.create src_tr f_tr ~max_lambda)
+    ~finished:E.finished
+    ~round:
+      (greedy_round ?pool src ~residual:E.residual ~skip_mask:E.skip_mask
+         ~advance:(fun e p -> ignore (E.advance e p)))
+    ~models:(fun e -> Array.map (fun s -> s.Star.model) (E.steps e))
 
 (* λ-indexed models from a LAR step sequence: entry λ−1 holds the last
    path model with at most λ active coefficients, so curves are indexed
@@ -295,46 +278,32 @@ let lars_lambda_models src ~max_lambda steps =
     models
   end
 
+(* LAR step budget of a path fitted for a support of at most
+   [max_lambda]: drops and bans make steps outnumber the support. *)
+let lar_step_budget max_lambda = min ((2 * max_lambda) + 8) (4 * max_lambda)
+
+(* Smallest fold training size, n − ceil(n/Q): the row cap on a CV
+   path's support. *)
+let min_train_rows ?(folds = 4) n = n - ((n + folds - 1) / folds)
+
 (* The LAR walk needs two sweeps per movement step, so its lockstep
-   loop feeds each live engine's requested vector — residual or
+   round feeds each live engine's requested vector — residual or
    equiangular direction, the engines are mutually independent — into
-   one [gram_tr_multi] pass per round. *)
+   one [gram_tr_multi] pass. *)
 let fused_lars_jobs ?mode ?on_singular ?pool src ~max_lambda jobs =
-  let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
-  let engines =
-    Array.map
-      (fun (f, train, _) ->
-        let src_tr = Provider.select_rows src train in
-        let f_tr = Array.map (fun i -> f.(i)) train in
-        ( Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_steps,
-          train ))
-      jobs
-  in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Lars.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Lars.Engine.request (fst engines.(i))) live
-        in
-        let sweeps = Corr_sweep.gram_tr_multi ?pool src ~rows rs in
-        Array.iteri
-          (fun ii i -> Lars.Engine.supply (fst engines.(i)) sweeps.(ii))
-          live
-  done;
-  Array.mapi
-    (fun i (f, _, held_out) ->
-      let steps = Lars.Engine.steps (fst engines.(i)) in
-      let models = lars_lambda_models src ~max_lambda steps in
-      held_out_curve ~max_lambda src f models held_out)
-    jobs
+  let module E = Lars.Engine in
+  fused_jobs src ~max_lambda jobs
+    ~create:(fun src_tr f_tr ->
+      E.create ?mode ?pool ?on_singular src_tr f_tr
+        ~max_steps:(lar_step_budget max_lambda))
+    ~finished:E.finished
+    ~round:(fun live ->
+      let sweeps =
+        Corr_sweep.gram_tr_multi ?pool src ~rows:(Array.map snd live)
+          (Array.map (fun (e, _) -> E.request e) live)
+      in
+      Array.iteri (fun i (e, _) -> E.supply e sweeps.(i)) live)
+    ~models:(fun e -> lars_lambda_models src ~max_lambda (E.steps e))
 
 let single_output_jobs f pending =
   Array.map (fun (_, train, held_out) -> (f, train, held_out)) pending
@@ -352,14 +321,9 @@ let fused_lars_curves ?mode ?on_singular ?pool src f ~max_lambda pending =
 
 let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
-  let cap_rows =
-    (* smallest fold training size: n − ceil(n/Q) *)
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
   let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
+    clamp_lambda ~max_lambda
+      (min (min_train_rows ?folds (Provider.rows src)) (Provider.cols src))
   in
   let fused_curves =
     if resolve_fused ~sweep ~fused ~shards src then
@@ -397,13 +361,9 @@ let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered ?fused
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
   let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
+    clamp_lambda ~max_lambda
+      (min (min_train_rows ?folds (Provider.rows src)) (Provider.cols src))
   in
   let fused_curves =
     if resolve_fused ~sweep ~fused ~shards src then
@@ -413,10 +373,9 @@ let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
   generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
     ~max_lambda
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
       let steps =
         Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-          ?recovered src f ~max_steps
+          ?recovered src f ~max_steps:(lar_step_budget max_lambda)
       in
       lars_lambda_models src ~max_lambda steps)
     src f
@@ -500,33 +459,8 @@ let generic_multi_impl ?(folds = 4) ?(rule = Min_error) ?checkpoint
     Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
       ~fit_curves:fit_jobs
   in
-  let fq = float_of_int folds in
   Array.init outputs (fun r ->
-      let fold_curves = grid.(r) in
-      let curve =
-        Array.init max_lambda (fun l ->
-            Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
-      in
-      let best = Stat.Crossval.argmin curve in
-      let lambda =
-        match rule with
-        | Min_error -> best + 1
-        | One_se ->
-            let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
-            let se =
-              if folds < 2 then 0.
-              else Stat.Descriptive.std at_min /. sqrt fq
-            in
-            let threshold = curve.(best) +. se in
-            let l = ref best in
-            for cand = best - 1 downto 0 do
-              if
-                (not (Float.is_nan curve.(cand)))
-                && curve.(cand) <= threshold
-              then l := cand
-            done;
-            !l + 1
-      in
+      let curve, lambda = choose_lambda ~rule ~folds ~max_lambda grid.(r) in
       let final = path_models ~rng:refit_rng src fs.(r) ~max_lambda:lambda in
       { model = final.(Array.length final - 1); lambda; curve })
 
@@ -537,13 +471,9 @@ let grid_jobs fs jobs =
 
 let omp_multi_p ?folds ?rule ?pool ?on_singular ?checkpoint ?resume rng
     ~max_lambda src fs =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
   let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
+    clamp_lambda ~max_lambda
+      (min (min_train_rows ?folds (Provider.rows src)) (Provider.cols src))
   in
   generic_multi_impl ?folds ?rule ?checkpoint ?resume
     ~fit_jobs:(fun jobs ->
@@ -569,22 +499,18 @@ let star_multi_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda src
 
 let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?checkpoint ?resume
     rng ~max_lambda src fs =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
   let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
+    clamp_lambda ~max_lambda
+      (min (min_train_rows ?folds (Provider.rows src)) (Provider.cols src))
   in
   generic_multi_impl ?folds ?rule ?checkpoint ?resume
     ~fit_jobs:(fun jobs ->
       fused_lars_jobs ?mode ?on_singular ?pool src ~max_lambda
         (grid_jobs fs jobs))
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
       let steps =
-        Lars.path_p ?mode ?pool ?on_singular src f ~max_steps
+        Lars.path_p ?mode ?pool ?on_singular src f
+          ~max_steps:(lar_step_budget max_lambda)
       in
       lars_lambda_models src ~max_lambda steps)
     rng ~max_lambda src fs

@@ -37,10 +37,13 @@ type local = {
   jlo : int;
   jhi : int;
   win : Provider.t;
-  raw_norms : Vec.t;
-  norms : Vec.t; (* raw with the <=0 -> 1 fixup, matching the solvers *)
+  (* Column norms are forced only by the LARS scans (and [raw_norms]):
+     OMP/STAR never pay the extra O(K·M) sweep. *)
+  raw_norms : Vec.t Lazy.t;
+  norms : Vec.t Lazy.t; (* raw with the <=0 -> 1 fixup, matching the solvers *)
   active : bool array; (* local index *)
   banned : bool array;
+  skip : bool array; (* active || banned: the OMP/STAR selection mask *)
   mutable c : Vec.t; (* normalized correlations from the last select *)
   mutable gu : Vec.t option; (* raw Gᵀu slice retained select->commit *)
   inc : Corr_sweep.Inc.t option;
@@ -48,16 +51,14 @@ type local = {
 }
 
 let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
-  let raw = Provider.column_norms ?pool win in
-  let norms = Array.map (fun n -> if n <= 0. then 1. else n) raw in
+  let raw = lazy (Provider.column_norms ?pool win) in
   let w = jhi - jlo in
   let inc =
     match sweep with
     | Corr_sweep.Exact -> None
     | Corr_sweep.Incremental _ ->
-        (* refresh:0 — the parent mirrors the cadence and ships refresh
-           residuals explicitly, so every shard refreshes on exactly the
-           steps the non-sharded Inc did. *)
+        (* refresh:0 — the parent owns the cadence and ships refresh
+           residuals explicitly (see [due]). *)
         Some (Corr_sweep.Inc.create ?pool ~refresh:0 win r0)
   in
   {
@@ -66,34 +67,46 @@ let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
     jhi;
     win;
     raw_norms = raw;
-    norms;
+    norms =
+      lazy (Array.map (fun n -> if n <= 0. then 1. else n) (Lazy.force raw));
     active = Array.make w false;
     banned = Array.make w false;
+    skip = Array.make w false;
     c = [||];
     gu = None;
     inc;
     lpool = pool;
   }
 
-let local_width l = l.jhi - l.jlo
-
 let raw_corr l r =
   match l.inc with
   | Some ic -> Corr_sweep.Inc.correlations ic
   | None -> Provider.gram_tr ?pool:l.lpool l.win r
 
+let in_window l j = j >= l.jlo && j < l.jhi
+
 (* Gram-cache slabs are keyed by *global* column index so the parent's
    delta and direction weights apply unchanged on every shard. *)
 let local_activate l j col =
-  if j >= l.jlo && j < l.jhi then l.active.(j - l.jlo) <- true;
+  if in_window l j then begin
+    l.active.(j - l.jlo) <- true;
+    l.skip.(j - l.jlo) <- true
+  end;
   match l.inc with
   | Some ic -> Corr_sweep.Inc.ensure_gram ic j col
   | None -> ()
 
 let local_deactivate l j =
-  if j >= l.jlo && j < l.jhi then l.active.(j - l.jlo) <- false
+  if in_window l j then begin
+    l.active.(j - l.jlo) <- false;
+    l.skip.(j - l.jlo) <- l.banned.(j - l.jlo)
+  end
 
-let local_ban l j = if j >= l.jlo && j < l.jhi then l.banned.(j - l.jlo) <- true
+let local_ban l j =
+  if in_window l j then begin
+    l.banned.(j - l.jlo) <- true;
+    l.skip.(j - l.jlo) <- true
+  end
 
 let local_deltas l deltas =
   match l.inc with
@@ -107,45 +120,79 @@ let local_refresh l r =
    so the lowest local (hence global) index wins ties — the left-biased
    shard merge then reproduces the sequential lowest-index rule. *)
 let local_select l r =
-  let w = local_width l in
-  let skip = Array.init w (fun j -> l.active.(j) || l.banned.(j)) in
   let j, a =
     match l.inc with
-    | Some ic -> Corr_sweep.Inc.argmax_abs ~skip ic
-    | None -> Provider.argmax_abs ?pool:l.lpool ~skip l.win r
+    | Some ic -> Corr_sweep.Inc.argmax_abs ~skip:l.skip ic
+    | None -> Provider.argmax_abs ?pool:l.lpool ~skip:l.skip l.win r
   in
   ((if j >= 0 then l.jlo + j else -1), a)
 
-(* LARS step-2 scan over the window: C (all non-banned), the entering
-   candidate (inactive, non-banned, strict [>]), and the correlation
-   values at the locally active columns — everything the parent's step
-   needs from this slice.  The normalized vector is retained for the
-   gamma scan of the same step. *)
-let local_lars_select l r =
-  let gtr = raw_corr l r in
-  let w = local_width l in
-  let c = Array.init w (fun j -> gtr.(j) /. l.norms.(j)) in
-  l.c <- c;
+(* The LARS correlation-phase reductions of one raw correlation slice:
+   C (all non-banned), the entering candidate (inactive, non-banned,
+   strict [>]), and the correlation values at the active columns. *)
+let scan_pick ~base ~norms ~active ~banned gtr =
+  let w = Array.length norms in
+  if Array.length gtr <> w then
+    invalid_arg "Shard_sweep.scan_pick: sweep length mismatch";
+  let c = Array.init w (fun j -> gtr.(j) /. norms.(j)) in
   let big_c = ref 0. and enter = ref (-1) and enter_abs = ref 0. in
   for j = 0 to w - 1 do
     let a = Float.abs c.(j) in
-    if (not l.banned.(j)) && a > !big_c then big_c := a;
-    if (not l.active.(j)) && (not l.banned.(j)) && a > !enter_abs then begin
+    (* Banned columns are out of the walk: letting one set C would hold
+       the stop criterion hostage and fail the near-tie entry test
+       against a correlation nothing can ever act on. *)
+    if (not banned.(j)) && a > !big_c then big_c := a;
+    if (not active.(j)) && (not banned.(j)) && a > !enter_abs then begin
       enter := j;
       enter_abs := a
     end
   done;
   let act = ref [] in
   for j = w - 1 downto 0 do
-    if l.active.(j) then act := (l.jlo + j, c.(j)) :: !act
+    if active.(j) then act := (base + j, c.(j)) :: !act
   done;
-  {
-    big_c = !big_c;
-    enter = (if !enter >= 0 then l.jlo + !enter else -1);
-    enter_abs = !enter_abs;
-    enter_val = (if !enter >= 0 then c.(!enter) else 0.);
-    act_c = Array.of_list !act;
-  }
+  ( c,
+    {
+      big_c = !big_c;
+      enter = (if !enter >= 0 then base + !enter else -1);
+      enter_abs = !enter_abs;
+      enter_val = (if !enter >= 0 then c.(!enter) else 0.);
+      act_c = Array.of_list !act;
+    } )
+
+(* The LARS γ bound: the minimum over the inactive, non-banned
+   columns' step-length candidates ([infinity] when none). The
+   sequential running-min acceptance (cand > 1e-12 && cand < γ)
+   reduces to min(init, min of all candidates > 1e-12), and float min
+   is exact, so folding these minima into C/A reproduces the
+   sequential scan bit for bit at any shard count. Banned columns can
+   never enter, so letting them bound the step would stall the walk at
+   their crossing point — they are skipped like active ones. *)
+let scan_gamma ~norms ~active ~banned ~c ~cc ~a_a gu =
+  let w = Array.length norms in
+  if Array.length gu <> w || Array.length c <> w then
+    invalid_arg "Shard_sweep.scan_gamma: sweep length mismatch";
+  let best = ref infinity in
+  for j = 0 to w - 1 do
+    if (not active.(j)) && not banned.(j) then begin
+      let aj = gu.(j) /. norms.(j) in
+      let cand1 = (cc -. c.(j)) /. (a_a -. aj) in
+      let cand2 = (cc +. c.(j)) /. (a_a +. aj) in
+      if cand1 > 1e-12 && cand1 < !best then best := cand1;
+      if cand2 > 1e-12 && cand2 < !best then best := cand2
+    end
+  done;
+  !best
+
+(* The window's reductions; the normalized vector is retained for the
+   gamma scan of the same step. *)
+let local_lars_select l r =
+  let c, pick =
+    scan_pick ~base:l.jlo ~norms:(Lazy.force l.norms) ~active:l.active
+      ~banned:l.banned (raw_corr l r)
+  in
+  l.c <- c;
+  pick
 
 let local_gu l dirv =
   match (dirv, l.inc) with
@@ -154,28 +201,11 @@ let local_gu l dirv =
   | Weights _, None ->
       invalid_arg "Shard_sweep: weighted direction requires incremental sweep"
 
-(* LARS step-length scan: the local minimum over this window's gamma
-   candidates.  The sequential scan's running-min acceptance
-   (cand > 1e-12 && cand < gamma) reduces to min(init, min of all
-   candidates > 1e-12), and float min is exact, so folding the local
-   minima reproduces the sequential result bit for bit. *)
 let local_gamma l ~cc ~a_a dirv =
   let gu = local_gu l dirv in
   l.gu <- Some gu;
-  let w = local_width l in
-  if Array.length l.c <> w then
-    invalid_arg "Shard_sweep: gamma scan before select";
-  let best = ref infinity in
-  for j = 0 to w - 1 do
-    if (not l.active.(j)) && not l.banned.(j) then begin
-      let aj = gu.(j) /. l.norms.(j) in
-      let cand1 = (cc -. l.c.(j)) /. (a_a -. aj) in
-      let cand2 = (cc +. l.c.(j)) /. (a_a +. aj) in
-      if cand1 > 1e-12 && cand1 < !best then best := cand1;
-      if cand2 > 1e-12 && cand2 < !best then best := cand2
-    end
-  done;
-  !best
+  scan_gamma ~norms:(Lazy.force l.norms) ~active:l.active ~banned:l.banned
+    ~c:l.c ~cc ~a_a gu
 
 (* Advance the maintained correlations by the committed step.  The
    direction travels with the command so a respawned worker (whose
@@ -288,7 +318,7 @@ let exec_local l (c : cmd) : reply =
       RSelect (j, a)
   | LarsSelect r -> RPick (local_lars_select l r)
   | Gamma { cc; a_a; gdir } -> RGamma (local_gamma l ~cc ~a_a gdir)
-  | Norms -> RNorms (Array.copy l.raw_norms)
+  | Norms -> RNorms (Array.copy (Lazy.force l.raw_norms))
   | PeakRss -> RRss (vmhwm_kb ())
 
 (* ------------------------------------------------------------------ *)
@@ -407,6 +437,13 @@ type t = {
   r0 : Vec.t;
   backend : backend;
   mutable recovered : int;
+  (* Incremental refresh cadence, counted here for every shard count:
+     movement steps since the last exact refresh. *)
+  refresh_every : int;
+  mutable since : int;
+  (* The LARS direction of the current step, from [lars_gamma] to
+     [commit]. *)
+  mutable dir : dir option;
 }
 
 exception Worker_dead
@@ -587,6 +624,14 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
   let m = Provider.cols src in
   if Array.length r0 <> Provider.rows src then
     invalid_arg "Shard_sweep.create: residual length mismatch";
+  let refresh_every =
+    match sweep with
+    | Corr_sweep.Exact -> 0
+    | Corr_sweep.Incremental { refresh } ->
+        if refresh < 0 then
+          invalid_arg "Shard_sweep.create: negative refresh cadence";
+        refresh
+  in
   let ranges = Shard.ranges ~n:m ~shards in
   let r0 = Array.copy r0 in
   let backend =
@@ -595,10 +640,14 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
         InImage
           (Array.mapi
              (fun i (rg : Shard.range) ->
-               local_create ?pool ~sweep ~shard:i ~jlo:rg.Shard.lo
-                 ~jhi:rg.hi
-                 (Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi)
-                 r0)
+               (* A single shard owns the whole dictionary: no window
+                  copy of a dense matrix. *)
+               let win =
+                 if rg.Shard.lo = 0 && rg.hi = m then src
+                 else Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi
+               in
+               local_create ?pool ~sweep ~shard:i ~jlo:rg.Shard.lo ~jhi:rg.hi
+                 win r0)
              ranges)
     | Procs ->
         (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -612,10 +661,23 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
             cur_select = None;
           }
   in
-  { src; sweep; ranges; r0; backend; recovered = 0 }
+  {
+    src;
+    sweep;
+    ranges;
+    r0;
+    backend;
+    recovered = 0;
+    refresh_every;
+    since = 0;
+    dir = None;
+  }
 
 let shards t = Array.length t.ranges
 let recovered t = t.recovered
+
+let incremental t =
+  match t.sweep with Corr_sweep.Exact -> false | Incremental _ -> true
 
 let shutdown t =
   match t.backend with
@@ -629,6 +691,16 @@ let shutdown t =
            with Worker_dead -> ());
           dispose_worker w)
         ps.workers
+
+let run ?pool ?recovered ~mode ~shards ~sweep src ~r0 f =
+  (* One shard is the unsharded fit, whatever the mode. *)
+  let mode = if shards = 1 then Domains else mode in
+  let t = create ?pool ~mode ~shards ~sweep src ~r0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (fun r -> r := !r + t.recovered) recovered;
+      shutdown t)
+    (fun () -> f t)
 
 (* Gathered raw column norms — per-column sums over ascending rows on
    each window, hence bitwise the full provider's column_norms. *)
@@ -646,18 +718,40 @@ let raw_norms t =
 let activate t j col = Array.iter expect_unit (exec t (Activate (j, col)))
 let deactivate t j = Array.iter expect_unit (exec t (Deactivate j))
 let ban t j = Array.iter expect_unit (exec t (Ban j))
-let apply_deltas t deltas = Array.iter expect_unit (exec t (Deltas deltas))
-let refresh t r = Array.iter expect_unit (exec t (Refresh (Array.copy r)))
 
-let commit t ~gamma ~dir ~refresh =
-  Array.iter expect_unit
-    (exec t
-       (Commit
-          {
-            gamma;
-            cdir = dir;
-            refresh = Option.map Array.copy refresh;
-          }))
+let refresh t r =
+  if incremental t then begin
+    Array.iter expect_unit (exec t (Refresh (Array.copy r)));
+    t.since <- 0
+  end
+
+(* Count one movement step; true when the cadence calls for an exact
+   refresh. *)
+let due t =
+  t.since <- t.since + 1;
+  t.refresh_every > 0 && t.since >= t.refresh_every
+
+let apply_deltas t deltas ~residual =
+  if incremental t then begin
+    Array.iter expect_unit (exec t (Deltas deltas));
+    if due t then refresh t (residual ())
+  end
+
+(* Retreat and refresh travel in one logged command, so a worker lost
+   between them replays both. *)
+let commit t ~gamma ~residual =
+  if incremental t then
+    match t.dir with
+    | None -> invalid_arg "Shard_sweep.commit: no direction (lars_gamma)"
+    | Some cdir ->
+        let refresh =
+          if due t then begin
+            t.since <- 0;
+            Some (Array.copy (residual ()))
+          end
+          else None
+        in
+        Array.iter expect_unit (exec t (Commit { gamma; cdir; refresh }))
 
 (* Left-biased tree merge: on a tie in |correlation| the earlier shard
    — hence the lower global index — survives, matching the sequential
@@ -695,14 +789,31 @@ let lars_select t ~r =
   in
   Shard.tree_reduce merge_pick picks
 
-let lars_gamma t ~cc ~a_a dir =
+(* Exact sweeps ship the K-vector u; incremental shards resolve the
+   active-set weights against their Gram slabs at O(p·M/S). *)
+let lars_gamma t ~cc ~a_a ~u ~weights =
+  let gdir = if incremental t then Weights weights else Dense u in
+  t.dir <- Some gdir;
   let best = ref infinity in
   Array.iter
     (function
       | RGamma g -> if g < !best then best := g
       | _ -> failwith "Shard_sweep: protocol error (gamma)")
-    (exec t (Gamma { cc; a_a; gdir = dir }));
+    (exec t (Gamma { cc; a_a; gdir }));
   !best
+
+let checkpoints t ~every ~on_checkpoint ~capture ~residual ~start =
+  match on_checkpoint with
+  | None -> (ignore, ignore)
+  | Some cb ->
+      let last = ref start in
+      let emit n =
+        cb (capture ());
+        last := n;
+        refresh t (residual ())
+      in
+      ( (fun n -> if every > 0 && n > !last && n mod every = 0 then emit n),
+        fun n -> if n > !last then emit n )
 
 let peak_rss_kb t =
   Array.map

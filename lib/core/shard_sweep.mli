@@ -1,4 +1,11 @@
-(** Column-sharded dictionary sweep engine.
+(** The sweep backend of the OMP, STAR and LAR path drivers, at every
+    shard count.
+
+    It owns the Exact | Incremental choice ({!Corr_sweep.sweep}), the
+    incremental refresh cadence and the checkpoint-aligned refresh, so
+    the drivers hold only their engine calls.  One shard is the
+    unsharded fit: an in-image window over the whole dictionary, no
+    copy.
 
     Partitions the dictionary's columns into contiguous shards; each
     shard owns a {!Polybasis.Design.Provider.window} of the design
@@ -35,12 +42,6 @@ val mode_of_string : string -> mode option
 
 val mode_to_string : mode -> string
 
-(** A step direction shipped to the shards for the LARS γ-scan and
-    commit: the K-vector u itself (exact sweep mode), or the active-set
-    weights w with u = Σ wₚ·g_{jₚ} (incremental mode, resolved against
-    each shard's Gram slab at O(p·M/S)). *)
-type dir = Dense of Linalg.Vec.t | Weights of (int * float) array
-
 (** Merged result of a LARS selection scan: C over non-banned columns,
     the entering candidate (lowest global index on ties), its
     normalized correlation value, and the correlation values at every
@@ -68,8 +69,23 @@ val create :
     every shard against the starting residual [r0] (incremental mode
     runs each window's initial exact sweep).  [pool] is used by
     in-image shards; process workers run single-domain pools of their
-    own.  @raise Invalid_argument on [shards < 1] or a residual length
-    mismatch. *)
+    own.  @raise Invalid_argument on [shards < 1], a negative refresh
+    cadence or a residual length mismatch. *)
+
+val run :
+  ?pool:Parallel.Pool.t ->
+  ?recovered:int ref ->
+  mode:mode ->
+  shards:int ->
+  sweep:Corr_sweep.sweep ->
+  Polybasis.Design.Provider.t ->
+  r0:Linalg.Vec.t ->
+  (t -> 'a) ->
+  'a
+(** [run ~mode ~shards ~sweep src ~r0 f] is [f] applied to a fresh
+    backend ([shards = 1] always runs in-image), shut down however [f]
+    returns; [recovered] (when given) accumulates its worker
+    recoveries. *)
 
 val shutdown : t -> unit
 (** Quit and reap process workers; no-op for in-image shards.  Wrap
@@ -83,7 +99,8 @@ val recovered : t -> int
 
 val raw_norms : t -> Linalg.Vec.t
 (** Column norms gathered from the shards, without the [<= 0 → 1]
-    fixup — bitwise [Provider.column_norms] of the full source. *)
+    fixup — bitwise [Provider.column_norms] of the full source.  Shards
+    compute them on first use (the LARS scans or this call). *)
 
 val activate : t -> int -> Linalg.Vec.t -> unit
 (** [activate t j col] marks global column [j] active (it leaves the
@@ -98,13 +115,16 @@ val deactivate : t -> int -> unit
 val ban : t -> int -> unit
 (** Exclude [j] from every later scan (dependent-column fallback). *)
 
-val apply_deltas : t -> (int * float) array -> unit
-(** Incremental OMP/STAR update: c ← c − Σ Δβ_j·v_j on every shard's
-    slice.  No-op in exact mode. *)
+val apply_deltas :
+  t -> (int * float) array -> residual:(unit -> Linalg.Vec.t) -> unit
+(** Incremental OMP/STAR movement step: c ← c − Σ Δβ_j·v_j on every
+    shard's slice, then an exact re-sweep of [residual ()] when the
+    refresh cadence is due.  No-op in exact mode. *)
 
 val refresh : t -> Linalg.Vec.t -> unit
 (** Exact re-sweep of the given residual on every shard (the
-    checkpoint-aligned refresh).  No-op in exact mode. *)
+    checkpoint-aligned and post-resume refresh); restarts the cadence.
+    No-op in exact mode. *)
 
 val select : t -> r:Linalg.Vec.t -> int * float
 (** OMP/STAR selection: argmax of |⟨g_j, r⟩| over non-active,
@@ -116,18 +136,73 @@ val lars_select : t -> r:Linalg.Vec.t -> pick
 (** LARS step-2 scan (see {!pick}); each shard retains its normalized
     correlation slice for the same step's {!lars_gamma}. *)
 
-val lars_gamma : t -> cc:float -> a_a:float -> dir -> float
-(** Minimum γ candidate over all shards ([infinity] when none); the
-    caller folds it against the saturation step C/A and the lasso drop
-    scan.  Shards retain the direction image Gᵀ·u for {!commit}. *)
+val lars_gamma :
+  t ->
+  cc:float ->
+  a_a:float ->
+  u:Linalg.Vec.t ->
+  weights:(int * float) array ->
+  float
+(** Minimum γ candidate over all shards ([infinity] when none) for the
+    equiangular direction [u = Σ wₚ·g_{jₚ}] ([weights] are the
+    (column, wₚ) pairs): exact shards sweep [u], incremental shards
+    combine their Gram slabs at O(p·M/S).  The caller folds the bound
+    against the saturation step C/A and the lasso drop scan.  Shards
+    retain the direction image Gᵀ·u for {!commit}. *)
 
-val commit : t -> gamma:float -> dir:dir -> refresh:Linalg.Vec.t option -> unit
+val commit : t -> gamma:float -> residual:(unit -> Linalg.Vec.t) -> unit
 (** Advance every shard's maintained correlations by the committed
-    step: c ← c − γ·(Gᵀu), then an optional exact refresh (the
-    parent mirrors the non-sharded cadence).  The direction travels
-    with the (logged) command so a respawned worker recomputes the
-    identical Gᵀu slice from its replayed slab.  No-op in exact
-    mode. *)
+    step: c ← c − γ·(Gᵀu), plus the exact re-sweep of [residual ()]
+    when the cadence is due.  The direction travels with the (logged)
+    command so a respawned worker recomputes the identical Gᵀu slice
+    from its replayed slab.  No-op in exact mode. *)
+
+val checkpoints :
+  t ->
+  every:int ->
+  on_checkpoint:('c -> unit) option ->
+  capture:(unit -> 'c) ->
+  residual:(unit -> Linalg.Vec.t) ->
+  start:int ->
+  (int -> unit) * (int -> unit)
+(** The path drivers' checkpoint cadence: [(stepped, finish)].  After
+    the [n]-th recorded step, [stepped n] hands [capture ()] to
+    [on_checkpoint] when [every > 0] divides [n]; [finish n] does so
+    once more when steps were recorded since the last emission (or
+    since [start], the resumed count).  Every emission is followed by
+    an exact {!refresh} of [residual ()], so a resumed incremental run
+    — whose backend starts from an exact sweep there — stays bitwise
+    equal to the uninterrupted one.  Without [on_checkpoint] both are
+    no-ops. *)
+
+val scan_pick :
+  base:int ->
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t * pick
+(** [scan_pick ~base ~norms ~active ~banned g] normalizes the raw
+    correlations [g] of a column window starting at global index [base]
+    and reduces them to a {!pick}; returns the normalized vector too,
+    for the same step's {!scan_gamma}.  The one LARS correlation scan:
+    every shard and the full-vector [Lars.Engine.supply] run it.
+    @raise Invalid_argument on a length mismatch. *)
+
+val scan_gamma :
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  c:Linalg.Vec.t ->
+  cc:float ->
+  a_a:float ->
+  Linalg.Vec.t ->
+  float
+(** [scan_gamma ~norms ~active ~banned ~c ~cc ~a_a gu] is the minimum
+    step-length candidate over the window's inactive, non-banned
+    columns given the raw direction sweep [gu] ([infinity] when none) —
+    the one LARS γ scan.  @raise Invalid_argument on a length
+    mismatch. *)
 
 val peak_rss_kb : t -> float array
 (** Per-shard VmHWM from /proc/self/status, in kB (process mode; the

@@ -151,7 +151,6 @@ let path_p ?tol ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume
   if shards < 1 then invalid_arg "Star.path: shards must be positive";
   let eng = Engine.create ?tol src f ~max_lambda in
   let k = eng.Engine.k and m = eng.Engine.m in
-  let last_ckpt = ref 0 in
   (match resume with
   | None -> ()
   | Some c ->
@@ -165,119 +164,41 @@ let path_p ?tol ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume
              "Star.path: checkpoint shape %dx%d disagrees with problem %dx%d"
              c.k c.m k m);
       Engine.replay eng ~scale:c.scale c.support);
-  last_ckpt := Engine.size eng;
-  (* Column-sharded selection engine, created after any resume replay
-     (see Omp.path_p). *)
-  let sh =
-    if shards > 1 then begin
-      let e =
-        Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src
-          ~r0:(Engine.residual eng)
-      in
-      Array.iter
-        (fun j -> Shard_sweep.activate e j (Engine.column eng j))
-        (Engine.support_newest_last eng);
-      Some e
-    end
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match sh with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
-  in
-  let since = ref 0 in
-  (* Incremental correlation state — created after any resume replay so
-     its initial exact sweep sees the resumed residual (the refresh
-     point the uninterrupted run hit when emitting the checkpoint). *)
-  let inc =
-    match (sweep, sh) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        Some (Corr_sweep.Inc.create ?pool ~refresh src (Engine.residual eng))
-  in
-  let emit_now () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
+  (* Backend started after any resume replay (see Omp.path_p). *)
+  Shard_sweep.run ?pool ?recovered ~mode:shard_mode ~shards ~sweep src
+    ~r0:(Engine.residual eng)
+  @@ fun sh ->
+  let activate j = Shard_sweep.activate sh j (Engine.column eng j) in
+  Array.iter activate (Engine.support_newest_last eng);
+  let stepped, finish =
+    Shard_sweep.checkpoints sh ~every:checkpoint_every ~on_checkpoint
+      ~capture:(fun () ->
         (* Selection order, newest last — the replay order. *)
-        cb
-          {
-            Serialize.Checkpoint.solver = "star";
-            k;
-            m;
-            scale = Engine.scale eng;
-            support = Engine.support_newest_last eng;
-          };
-        last_ckpt := Engine.size eng;
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        (match sh with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Engine.residual eng);
-            since := 0
-        | _ -> ())
-  in
-  let emit_checkpoint () =
-    if checkpoint_every > 0 && Engine.size eng mod checkpoint_every = 0 then
-      emit_now ()
+        {
+          Serialize.Checkpoint.solver = "star";
+          k;
+          m;
+          scale = Engine.scale eng;
+          support = Engine.support_newest_last eng;
+        })
+      ~residual:(fun () -> Engine.residual eng)
+      ~start:(Engine.size eng)
   in
   while not (Engine.finished eng) do
-    (* Column-parallel eq. (18) sweep, bitwise equal to the sequential
-       scan for every domain count; incremental mode scans the
-       delta-maintained correlation vector instead. *)
-    let pick =
-      match (sh, inc) with
-      | Some e, _ -> Shard_sweep.select e ~r:(Engine.residual eng)
-      | None, None ->
-          Corr_sweep.argmax_abs ?pool ~skip:(Engine.skip_mask eng) src
-            (Engine.residual eng)
-      | None, Some ic ->
-          Corr_sweep.Inc.argmax_abs ~skip:(Engine.skip_mask eng) ic
-    in
-    let best = fst pick in
+    let pick = Shard_sweep.select sh ~r:(Engine.residual eng) in
     match Engine.advance eng pick with
     | None -> ()
     | Some alpha ->
-        (match (sh, inc) with
-        | Some e, _ ->
-            Shard_sweep.activate e best (Engine.column eng best);
-            if sh_incremental then begin
-              (* Matching pursuit never revisits coefficients: the only
-                 delta this step is α on the entering column. *)
-              Shard_sweep.apply_deltas e [| (best, alpha) |];
-              incr since;
-              if refresh_every > 0 && !since >= refresh_every then begin
-                Shard_sweep.refresh e (Engine.residual eng);
-                since := 0
-              end
-            end
-        | None, None -> ()
-        | None, Some ic ->
-            Corr_sweep.Inc.ensure_gram ic best (Engine.column eng best);
-            Corr_sweep.Inc.apply_deltas ic [| (best, alpha) |];
-            Corr_sweep.Inc.note_step ic;
-            if Corr_sweep.Inc.due ic then
-              Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        emit_checkpoint ()
+        let best = fst pick in
+        activate best;
+        (* Matching pursuit never revisits coefficients: the only delta
+           this step is α on the entering column. *)
+        Shard_sweep.apply_deltas sh [| (best, alpha) |]
+          ~residual:(fun () -> Engine.residual eng);
+        stepped (Engine.size eng)
   done;
-  (* Terminal checkpoint: when lambda is not a multiple of the cadence
-     the mod test above skips the final selections, and a resume would
-     replay a stale prefix — always leave the completed support. *)
-  if Engine.size eng > !last_ckpt then emit_now ();
+  (* Terminal checkpoint, as in Omp.path_p. *)
+  finish (Engine.size eng);
   Engine.steps eng
 
 let fit_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards

@@ -363,6 +363,41 @@ let test_lars_sharded_resume_bitwise () =
   check_bool "sharded resume bitwise (modulo replayed max_corr)" true
     (strip (lars_bits resumed) = strip reference)
 
+(* Every checkpoint of a ~checkpoint_every:1 walk resumes to the
+   uninterrupted steps — Lar/Lasso × Exact/Incremental × shards 1/3, on
+   a dictionary with duplicated columns that forces bans. *)
+let test_lars_resume_every_checkpoint () =
+  let rng, _, _, g = random_setting 7 in
+  let src = P.dense (with_duplicate_columns g) in
+  let f = sparse_response rng src in
+  let banned = ref false in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun sweep ->
+          List.iter
+            (fun shards ->
+              let label =
+                Printf.sprintf "%s %s shards=%d"
+                  (match mode with Rsm.Lars.Lar -> "lar" | Lasso -> "lasso")
+                  (sweep_tag sweep) shards
+              in
+              let replay_ulps =
+                match sweep with Rsm.Corr_sweep.Exact -> 0 | _ -> 1
+              in
+              let full =
+                check_resume_every_checkpoint ~label ~replay_ulps
+                  (fun ~on_checkpoint ~resume ->
+                    Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~sweep ~shards
+                      ~checkpoint_every:1 ~on_checkpoint ?resume src f
+                      ~max_steps:12)
+              in
+              if has_ban full then banned := true)
+            [ 1; 3 ])
+        sweeps)
+    [ Rsm.Lars.Lar; Rsm.Lars.Lasso ];
+  check_bool "the duplicated dictionary forces bans" true !banned
+
 let suite =
   ( "shard",
     [
@@ -381,4 +416,6 @@ let suite =
       slow_case "killed process shard recovers bitwise"
         test_process_shard_kill_recovery;
       case "sharded checkpoint resume bitwise" test_lars_sharded_resume_bitwise;
+      case "every checkpoint resumes bitwise (bans, 1/3 shards)"
+        test_lars_resume_every_checkpoint;
     ] )

@@ -418,6 +418,43 @@ let test_incremental_lar_resume_bitwise () =
              (Array.map corr_bits
                 (Array.sub resumed prefix (Array.length resumed - prefix)))))
 
+(* Every checkpoint of a ~checkpoint_every:1 walk on a 2-domain pool
+   resumes to the uninterrupted steps — Lar/Lasso × Exact/Incremental ×
+   shards 1/3, on a dictionary with duplicated columns that forces
+   bans. *)
+let test_lar_resume_every_checkpoint () =
+  let rng, _, _, g = random_setting 6 in
+  let src = P.dense (with_duplicate_columns g) in
+  let f = sparse_response rng src in
+  let banned = ref false in
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun (tag, sweep, replay_ulps) ->
+              List.iter
+                (fun shards ->
+                  let label =
+                    Printf.sprintf "%s %s shards=%d"
+                      (match mode with Rsm.Lars.Lar -> "lar" | Lasso -> "lasso")
+                      tag shards
+                  in
+                  let full =
+                    check_resume_every_checkpoint ~label ~replay_ulps
+                      (fun ~on_checkpoint ~resume ->
+                        Rsm.Lars.path_p ~mode ~pool ~on_singular:`Fallback
+                          ~sweep ~shards ~checkpoint_every:1 ~on_checkpoint
+                          ?resume src f ~max_steps:10)
+                  in
+                  if has_ban full then banned := true)
+                [ 1; 3 ])
+            [
+              ("exact", CS.Exact, 0);
+              ("incremental", CS.incremental ~refresh:4 (), 1);
+            ])
+        [ Rsm.Lars.Lar; Rsm.Lars.Lasso ]);
+  check_bool "the duplicated dictionary forces bans" true !banned
+
 (* --- fused CV vs per-fold CV --------------------------------------- *)
 
 let prop_fused_cv_bitwise solver seed =
@@ -646,6 +683,8 @@ let suite =
         test_all_banned_terminates;
       case "incremental LAR resume bitwise"
         test_incremental_lar_resume_bitwise;
+      case "every checkpoint resumes bitwise (bans, 1/3 shards)"
+        test_lar_resume_every_checkpoint;
       case "batched fold curves == per-fold" test_batch_fold_curves;
       case "screen_refit == cold refit" test_screen_refit_matches_cold;
       case "screen_refit keeps model when rows run out"
