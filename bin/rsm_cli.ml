@@ -320,25 +320,6 @@ let shard_mode_arg =
            bounded by the shard slice and a crashed worker is respawned and \
            replayed from the command log with bitwise-unchanged results.")
 
-let fused_cv_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "fused-cv" ]
-              ~doc:
-                "Advance all CV fold solvers in lockstep, sharing each \
-                 step's design-column generation across folds (one fused \
-                 multi-residual sweep per step). Bitwise identical model; \
-                 pays streamed column generation once per step instead of \
-                 once per fold. Default: on for the matrix-free engine with \
-                 the exact sweep." );
-          ( Some false,
-            info [ "per-fold-cv" ]
-              ~doc:"Fit each CV fold independently (the classic driver)." );
-        ])
-
 let outputs_arg =
   Arg.(
     value
@@ -352,24 +333,6 @@ let outputs_arg =
            every metric's sparsity from a single column-generation pass per \
            greedy step. Writes one model per metric \
            (--save-model FILE.$(i,metric)). Opamp only; overrides --metric.")
-
-let fused_outputs_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "fused-outputs" ]
-              ~doc:
-                "Advance all outputs' CV fold solvers in one lockstep grid, \
-                 sharing each greedy step's design-column generation across \
-                 every output and fold. Bitwise identical models to \
-                 per-output fitting. Default: on whenever the exact sweep \
-                 runs unsharded. Conflicts with --shards > 1." );
-          ( Some false,
-            info [ "per-output" ]
-              ~doc:"Fit each output independently (R single-output fits)." );
-        ])
 
 let rescreen_arg =
   Arg.(value & flag & info [ "rescreen" ]
@@ -456,8 +419,7 @@ let save_model_maybe save_model model =
 let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
     ~max_lambda ~save_model ~domains ~engine ~folds_n ~no_screen
     ~screen_threshold ~screen_space ~faults ~retry ~adaptive ~quorum
-    ~checkpoint ~resume ~sweep ~shards ~shard_mode ~fused_cv ~fused_outputs
-    ~rescreen ~outputs_spec =
+    ~checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ~outputs_spec =
   if String.lowercase_ascii circuit <> "opamp" then
     err_exit
       (Printf.sprintf
@@ -505,8 +467,7 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
         ?adaptive ~quorum
         ~min_samples:(min samples (max 8 (samples / 2)))
         ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-        ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv ?fused_outputs
-        ~rescreen ()
+        ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ()
     with
     | Ok cfg -> cfg
     | Error e -> err_exit (Robust.Error.to_string e)
@@ -526,12 +487,13 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
         m_cols outputs;
       Printf.printf "  design engine : %s\n"
         (if cfg.Robust.Pipeline.streamed then "matrix-free" else "dense");
-      Printf.printf "  sweep engine  : %s%s\n"
+      Printf.printf "  sweep engine  : %s, %s\n"
         (Rsm.Corr_sweep.sweep_to_string sweep)
-        (match fused_outputs with
-        | Some true -> ", fused outputs"
-        | Some false -> ", per-output"
-        | None -> ", auto output driver");
+        (if
+           Rsm.Select.fused ~sweep ~shards ~streamed:cfg.Robust.Pipeline.streamed
+             ~outputs
+         then "fused outputs"
+         else "per-output");
       if shards > 1 then
         Printf.printf "  shard engine  : %d shards (%s mode)\n" shards
           (Rsm.Shard_sweep.mode_to_string shard_mode);
@@ -608,8 +570,8 @@ let model_cmd =
   let run circuit metric cells parasitics seed samples test method_name
       max_lambda save_model domains engine folds fault_rate retries no_screen
       screen_threshold checkpoint resume checkpoint_every sweep_mode
-      sweep_refresh fused_cv rescreen shards shard_mode burst_rate burst_len
-      quorum screen_space_s breaker_threshold outputs fused_outputs =
+      sweep_refresh rescreen shards shard_mode burst_rate burst_len
+      quorum screen_space_s breaker_threshold outputs =
     check_at_least "samples" 1 samples;
     check_at_least "test" 1 test;
     check_at_least "max-lambda" 1 max_lambda;
@@ -672,8 +634,8 @@ let model_cmd =
             run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
               ~max_lambda ~save_model ~domains ~engine ~folds_n ~no_screen
               ~screen_threshold ~screen_space ~faults ~retry ~adaptive ~quorum
-              ~checkpoint ~resume ~sweep ~shards ~shard_mode ~fused_cv
-              ~fused_outputs ~rescreen ~outputs_spec)
+              ~checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen
+              ~outputs_spec)
     | None -> (
     match make_workload ~circuit ~metric ~cells ~parasitics with
     | Error e -> err_exit e
@@ -871,8 +833,8 @@ let model_cmd =
                       ~min_samples:(min samples (max 8 (samples / 2)))
                       ~streamed:
                         (choose_streamed engine ~k:samples ~m:m_cols)
-                      ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv
-                      ~rescreen ()
+                      ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen
+                      ()
                   with
                   | Ok cfg -> cfg
                   | Error e -> err_exit (Robust.Error.to_string e)
@@ -900,12 +862,13 @@ let model_cmd =
                     Printf.printf "  design engine : %s\n"
                       (if cfg.Robust.Pipeline.streamed then "matrix-free"
                        else "dense");
-                    Printf.printf "  sweep engine  : %s%s\n"
+                    Printf.printf "  sweep engine  : %s, %s\n"
                       (Rsm.Corr_sweep.sweep_to_string sweep)
-                      (match fused_cv with
-                      | Some true -> ", fused CV"
-                      | Some false -> ", per-fold CV"
-                      | None -> ", auto CV driver");
+                      (if
+                         Rsm.Select.fused ~sweep ~shards
+                           ~streamed:cfg.Robust.Pipeline.streamed ~outputs:1
+                       then "fused CV"
+                       else "per-fold CV");
                     if shards > 1 then
                       Printf.printf "  shard engine  : %d shards (%s mode)\n"
                         shards
@@ -952,10 +915,10 @@ let model_cmd =
       $ test_arg $ method_arg $ max_lambda_arg $ save_model_arg $ domains
       $ engine $ folds_arg $ fault_rate_arg $ retries_arg $ no_screen_arg
       $ screen_threshold_arg $ checkpoint_arg $ resume_arg
-      $ checkpoint_every_arg $ sweep_arg $ sweep_refresh_arg $ fused_cv_arg
-      $ rescreen_arg $ shards_arg $ shard_mode_arg $ burst_rate_arg
+      $ checkpoint_every_arg $ sweep_arg $ sweep_refresh_arg $ rescreen_arg
+      $ shards_arg $ shard_mode_arg $ burst_rate_arg
       $ burst_len_arg $ quorum_arg $ screen_space_arg $ breaker_threshold_arg
-      $ outputs_arg $ fused_outputs_arg)
+      $ outputs_arg)
 
 let predict_cmd =
   let model_file =

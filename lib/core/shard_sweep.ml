@@ -692,13 +692,19 @@ let shutdown t =
           dispose_worker w)
         ps.workers
 
+(* Fleets of concurrent per-job CV fits share one recovery counter. *)
+let recovered_lock = Mutex.create ()
+
 let run ?pool ?recovered ~mode ~shards ~sweep src ~r0 f =
   (* One shard is the unsharded fit, whatever the mode. *)
   let mode = if shards = 1 then Domains else mode in
   let t = create ?pool ~mode ~shards ~sweep src ~r0 in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter (fun r -> r := !r + t.recovered) recovered;
+      Option.iter
+        (fun r ->
+          Mutex.protect recovered_lock (fun () -> r := !r + t.recovered))
+        recovered;
       shutdown t)
     (fun () -> f t)
 

@@ -85,7 +85,8 @@ val run :
 (** [run ~mode ~shards ~sweep src ~r0 f] is [f] applied to a fresh
     backend ([shards = 1] always runs in-image), shut down however [f]
     returns; [recovered] (when given) accumulates its worker
-    recoveries. *)
+    recoveries — atomically, so fleets running on several domains may
+    share one counter. *)
 
 val shutdown : t -> unit
 (** Quit and reap process workers; no-op for in-image shards.  Wrap

@@ -97,56 +97,40 @@ let fit_cv ?folds ?max_lambda rng g f m =
       let s = grid.(Stat.Crossval.argmin curve) in
       Cosamp.fit g f ~s
 
+let default_max_lambda src =
+  max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
+
+let lars_mode = function Lasso -> Lars.Lasso | _ -> Lars.Lar
+
 let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?cv_checkpoint ?cv_resume ?(notes = [||]) rng src f m =
-  let max_lambda =
-    match max_lambda with
-    | Some l -> l
-    | None ->
-        max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
-  in
+    ?recovered ?cv_checkpoint ?cv_resume ?(notes = [||]) rng src f m =
+  let max_lambda = Option.value max_lambda ~default:(default_max_lambda src) in
   let checkpoint = cv_checkpoint and resume = cv_resume in
   let model =
-  match m with
-  | Star ->
-      (Select.star_p ?folds ?sweep ?shards ?shard_mode ?recovered ?fused
-         ?checkpoint ?resume rng ~max_lambda src f)
-        .Select.model
-  | Lar ->
-      (Select.lars_p ?folds ~mode:Lars.Lar ?on_singular ?sweep ?shards
-         ?shard_mode ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src
-         f)
-        .Select.model
-  | Lasso ->
-      (Select.lars_p ?folds ~mode:Lars.Lasso ?on_singular ?sweep ?shards
-         ?shard_mode ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src
-         f)
-        .Select.model
-  | Omp ->
-      (Select.omp_p ?folds ?on_singular ?sweep ?shards ?shard_mode ?recovered
-         ?fused ?checkpoint ?resume rng ~max_lambda src f)
-        .Select.model
-  | Ls | Stomp | Cosamp ->
-      (* These paths need the materialized matrix (full LS / batch
-         thresholding); free for a dense provider. *)
-      fit_cv ?folds ~max_lambda rng (Provider.to_dense src) f m
+    match m with
+    | Star ->
+        (Select.star_p ?folds ?sweep ?shards ?shard_mode ?recovered
+           ?checkpoint ?resume rng ~max_lambda src f)
+          .Select.model
+    | Lar | Lasso ->
+        (Select.lars_p ?folds ~mode:(lars_mode m) ?on_singular ?sweep ?shards
+           ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
+          .Select.model
+    | Omp ->
+        (Select.omp_p ?folds ?on_singular ?sweep ?shards ?shard_mode
+           ?recovered ?checkpoint ?resume rng ~max_lambda src f)
+          .Select.model
+    | Ls | Stomp | Cosamp ->
+        (* These paths need the materialized matrix (full LS / batch
+           thresholding); free for a dense provider. *)
+        fit_cv ?folds ~max_lambda rng (Provider.to_dense src) f m
   in
   (* Provenance notes (e.g. a quorum-degraded delivery) ride on the
      model itself so a served artifact carries its history. *)
   Array.fold_left Model.add_note model notes
 
-(* Multi-output fitting: R responses over one design. The fused driver
-   (default whenever the exact sweep runs unsharded) selects every
-   output's λ from one lockstep grid of R×Q fold solvers — each
-   streamed column generated once per greedy step for the whole grid —
-   and is bitwise identical to R independent [fit_cv_p] calls seeded
-   with copies of the same generator; the per-output driver IS those R
-   independent calls. Either way output [r] checkpoints under
-   [Serialize.Checkpoint.Multi.output_base base r], so a run
-   interrupted in one mode resumes in the other. *)
 let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?fused_outputs ?cv_checkpoint ?cv_resume ?notes rng src
-    fs m =
+    ?recovered ?cv_checkpoint ?cv_resume ?notes rng src fs m =
   let outputs = Array.length fs in
   if outputs = 0 then
     invalid_arg "Solver.fit_multi_p: at least one output required";
@@ -158,54 +142,32 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
           invalid_arg "Solver.fit_multi_p: notes count disagrees with outputs";
         ns.(r)
   in
-  let max_lambda =
-    match max_lambda with
-    | Some l -> l
-    | None ->
-        max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
+  let max_lambda = Option.value max_lambda ~default:(default_max_lambda src) in
+  let checkpoint = cv_checkpoint and resume = cv_resume in
+  let models sels = Array.map (fun s -> s.Select.model) sels in
+  let models =
+    match m with
+    | Star ->
+        models
+          (Select.star_multi_p ?folds ?sweep ?shards ?shard_mode ?recovered
+             ?checkpoint ?resume rng ~max_lambda src fs)
+    | Lar | Lasso ->
+        models
+          (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular ?sweep
+             ?shards ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda
+             src fs)
+    | Omp ->
+        models
+          (Select.omp_multi_p ?folds ?on_singular ?sweep ?shards ?shard_mode
+             ?recovered ?checkpoint ?resume rng ~max_lambda src fs)
+    | Ls | Stomp | Cosamp ->
+        (* No λ path to share: one fit per output, each from a copy of
+           the caller's generator. *)
+        let g = Provider.to_dense src in
+        Array.map
+          (fun f -> fit_cv ?folds ~max_lambda (Randkit.Prng.copy rng) g f m)
+          fs
   in
-  let path_method =
-    match m with Star | Lar | Lasso | Omp -> true | Ls | Stomp | Cosamp -> false
-  in
-  let fused_on =
-    path_method
-    && Select.resolve_fused_multi ~sweep ~fused:fused_outputs ~shards
-  in
-  if fused_on then begin
-    let checkpoint = cv_checkpoint and resume = cv_resume in
-    let results =
-      match m with
-      | Star ->
-          Select.star_multi_p ?folds ?checkpoint ?resume rng ~max_lambda src fs
-      | Lar ->
-          Select.lars_multi_p ?folds ~mode:Lars.Lar ?on_singular ?checkpoint
-            ?resume rng ~max_lambda src fs
-      | Lasso ->
-          Select.lars_multi_p ?folds ~mode:Lars.Lasso ?on_singular ?checkpoint
-            ?resume rng ~max_lambda src fs
-      | Omp ->
-          Select.omp_multi_p ?folds ?on_singular ?checkpoint ?resume rng
-            ~max_lambda src fs
-      | Ls | Stomp | Cosamp -> assert false
-    in
-    Array.mapi
-      (fun r sel ->
-        Array.fold_left Model.add_note sel.Select.model (notes_of r))
-      results
-  end
-  else
-    (* Per-output: R independent single-output fits, each from a copy
-       of the caller's generator so every output sees the same plan and
-       streams the fused driver derives — the parity the fused/≡/
-       per-output gates check bitwise. *)
-    Array.mapi
-      (fun r f ->
-        let cv_checkpoint =
-          Option.map
-            (fun base -> Serialize.Checkpoint.Multi.output_base base r)
-            cv_checkpoint
-        in
-        fit_cv_p ?folds ~max_lambda ?on_singular ?sweep ?shards ?shard_mode
-          ?recovered ?fused ?cv_checkpoint ?cv_resume ~notes:(notes_of r)
-          (Randkit.Prng.copy rng) src f m)
-      fs
+  Array.mapi
+    (fun r model -> Array.fold_left Model.add_note model (notes_of r))
+    models

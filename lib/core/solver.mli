@@ -42,7 +42,6 @@ val fit_cv_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?fused:bool ->
   ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
@@ -58,15 +57,12 @@ val fit_cv_p :
     by the other methods.
 
     [sweep] selects the correlation engine for the path methods (default
-    {!Corr_sweep.Exact}); [fused] controls the fused lockstep CV driver
-    for OMP/STAR/LAR/LASSO — both forwarded to the {!Select} [_p] entry
-    points (see {!Select.omp_p}). Ignored by [Ls]/[Stomp]/[Cosamp].
-
-    [shards]/[shard_mode]/[recovered] route the path methods' selection
-    sweeps through the column-sharded engine ({!Shard_sweep}, see
-    {!Select.omp_p}): selections stay bitwise identical to the
-    unsharded run at every shard count. Ignored by
-    [Ls]/[Stomp]/[Cosamp].
+    {!Corr_sweep.Exact}); [shards]/[shard_mode]/[recovered] route their
+    selection sweeps through the column-sharded engine ({!Shard_sweep}).
+    Both are forwarded to the {!Select} [_p] entry points, whose CV grid
+    picks fused or per-job fitting from them and the provider form
+    ({!Select.fused}); selections stay bitwise identical in either mode
+    and at every shard count. Ignored by [Ls]/[Stomp]/[Cosamp].
 
     [cv_checkpoint]/[cv_resume] enable per-fold CV checkpointing for the
     path methods (STAR, LAR, LASSO, OMP) — see {!Select.generic_p}.
@@ -82,7 +78,6 @@ val fit_multi_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?fused:bool -> ?fused_outputs:bool ->
   ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
@@ -91,25 +86,19 @@ val fit_multi_p :
     the shared design — the multi-output extension of {!fit_cv_p}, one
     model per output in order.
 
-    [fused_outputs] picks the driver. The {e fused} grid (default
-    whenever the path method runs the exact sweep unsharded — see
-    {!Select.resolve_fused_multi}; an explicit [true] under
-    [shards > 1] raises {!Select.Conflict}) selects every output's λ
-    from one lockstep grid of outputs×folds fold solvers, generating
-    each streamed column once per greedy step for the whole grid. The
-    {e per-output} driver runs R independent {!fit_cv_p} calls, each
-    seeded with a {!Randkit.Prng.copy} of [rng] (the caller's generator
-    is not consumed) — and the fused driver's per-output results are
-    bitwise identical to it, at every domain count and in both provider
-    forms. Non-path methods ([Ls]/[Stomp]/[Cosamp]) always fit
-    per-output.
+    The path methods select every output's λ from one (output × fold)
+    grid ({!Select.omp_multi_p} and siblings), fused whenever the rule
+    {!Select.fused} holds — each streamed column then generated once
+    per greedy step for the whole grid — and per-job otherwise. Output
+    [r]'s model is bitwise identical to {!fit_cv_p} on [fs.(r)] with a
+    {!Randkit.Prng.copy} of [rng], in either mode, at every domain and
+    shard count and in both provider forms. Non-path methods
+    ([Ls]/[Stomp]/[Cosamp]) fit each output from a copy of [rng].
 
-    [fused] (the per-fold CV driver flag) applies to the per-output
-    driver only; the fused grid subsumes it. [cv_checkpoint = base]
+    [cv_checkpoint = base] writes a manifest at [base.multi] and
     checkpoints output [r] under
-    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either mode
-    (the fused grid additionally writes a manifest at [base.multi]), so
-    a run interrupted in one mode resumes bitwise in the other.
+    {!Serialize.Checkpoint.Multi.output_base}[ base r], so a run
+    interrupted in one mode resumes bitwise in the other.
 
     [notes] supplies one provenance-note array per output.
     @raise Invalid_argument when [fs] is empty or [notes] disagrees in

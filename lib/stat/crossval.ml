@@ -7,162 +7,90 @@ let fold_indices plan q =
   if q < 0 || q >= plan.folds then invalid_arg "Crossval.fold_indices: bad fold";
   Randkit.Sampling.fold_split plan.assignment q
 
-(* Run the Q fold bodies — fold-parallel when a pool is supplied — and
-   collect one result per fold. The combination of the results always
-   happens sequentially in fold order afterwards, so parallel execution
-   never changes the bits of the averages. *)
-let fold_results pool plan body =
-  let out = Array.make plan.folds None in
-  let run_fold q =
-    let train, held_out = fold_indices plan q in
-    out.(q) <- Some (body q ~train ~held_out)
-  in
-  (match pool with
-  | None ->
-      for q = 0 to plan.folds - 1 do
-        run_fold q
-      done
-  | Some pool ->
-      Parallel.Pool.parallel_for pool ~chunks:plan.folds ~lo:0 ~hi:plan.folds
-        run_fold);
-  Array.map (function Some r -> r | None -> assert false) out
-
-let run ?pool plan ~fit ~error =
-  let errs =
-    fold_results pool plan (fun _ ~train ~held_out ->
-        let model = fit ~train in
-        error model ~held_out)
-  in
-  let total = ref 0. in
-  for q = 0 to plan.folds - 1 do
-    total := !total +. errs.(q)
-  done;
-  !total /. float_of_int plan.folds
-
 type fold_cache = {
   load : int -> float array option;
   store : int -> float array -> unit;
 }
 
-let run_fold_curves ?pool ?cache plan ~fit_curve =
-  (* Cached folds are looked up sequentially before the (possibly
-     parallel) fold bodies run, so cache IO never races and a resume
-     leaves the fold-order PRNG discipline of the caller untouched —
-     streams are split before any fold runs either way. *)
-  let cached = Array.make plan.folds None in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      for q = 0 to plan.folds - 1 do
-        cached.(q) <- c.load q
-      done);
-  fold_results pool plan (fun q ~train ~held_out ->
-      match cached.(q) with
-      | Some curve -> curve
-      | None ->
-          let curve = fit_curve q ~train ~held_out in
-          (match cache with None -> () | Some c -> c.store q curve);
-          curve)
+type job = { output : int; fold : int; train : int array; held_out : int array }
 
-(* Batched variant for fused fold fitting: all uncached folds are
-   handed to [fit_curves] in one call (fold order preserved), so the
-   caller can drive them in lockstep and share per-step work — the
-   fused multi-residual CV sweep in [Rsm.Select]. Cache discipline is
-   identical to [run_fold_curves]: loads happen sequentially up front,
-   fresh curves are stored as they come back. *)
-let run_fold_curves_batch ?cache plan ~fit_curves =
-  let cached = Array.make plan.folds None in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      for q = 0 to plan.folds - 1 do
-        cached.(q) <- c.load q
-      done);
-  let pending = ref [] in
-  for q = plan.folds - 1 downto 0 do
-    if cached.(q) = None then begin
-      let train, held_out = fold_indices plan q in
-      pending := (q, train, held_out) :: !pending
-    end
-  done;
-  let pending = Array.of_list !pending in
-  let fresh = if Array.length pending = 0 then [||] else fit_curves pending in
-  if Array.length fresh <> Array.length pending then
-    invalid_arg "Crossval.run_fold_curves_batch: curve count mismatch";
-  Array.iteri
-    (fun i (q, _, _) ->
-      (match cache with None -> () | Some c -> c.store q fresh.(i));
-      cached.(q) <- Some fresh.(i))
-    pending;
-  Array.map (function Some r -> r | None -> assert false) cached
+type fitter = job array -> finish:(int -> float array -> unit) -> unit
 
-(* Multi-output extension of the batch driver: R responses share one
-   fold plan, and every (output, fold) pair whose curve is not cached
-   is handed to [fit_curves] in one flat call (output-major, fold
-   ascending), so the caller can drive all R×Q solvers in lockstep and
-   share each step's column generation across the whole grid. Cache
-   discipline is per output — loads happen sequentially up front in
-   output-major order, fresh curves are stored per (output, fold). *)
-let run_fold_curves_multi ?caches ~outputs plan ~fit_curves =
-  if outputs < 1 then
-    invalid_arg "Crossval.run_fold_curves_multi: outputs must be positive";
+(* Per-job fitting: one pool chunk per job. Each job owns its slot, so
+   parallel execution never changes a bit. *)
+let each ?pool fit_curve jobs ~finish =
+  let n = Array.length jobs in
+  let run i = finish i (fit_curve jobs.(i)) in
+  match pool with
+  | None -> for i = 0 to n - 1 do run i done
+  | Some pool -> Parallel.Pool.parallel_for pool ~chunks:n ~lo:0 ~hi:n run
+
+let run_grid ?caches ~outputs plan ~fit =
+  if outputs < 1 then invalid_arg "Crossval.run_grid: outputs must be positive";
   let cache_of r =
     match caches with
     | None -> None
     | Some cs ->
         if Array.length cs <> outputs then
-          invalid_arg "Crossval.run_fold_curves_multi: cache count mismatch";
+          invalid_arg "Crossval.run_grid: cache count mismatch";
         cs.(r)
   in
-  let cached = Array.init outputs (fun _ -> Array.make plan.folds None) in
-  for r = 0 to outputs - 1 do
-    match cache_of r with
-    | None -> ()
-    | Some c ->
-        for q = 0 to plan.folds - 1 do
-          cached.(r).(q) <- c.load q
-        done
-  done;
+  (* Cached cells are loaded sequentially, output-major, before any job
+     runs, so cache IO never races and the caller's PRNG discipline is
+     untouched by a resume. *)
+  let cells =
+    Array.init outputs (fun r ->
+        Array.init plan.folds (fun q ->
+            Option.bind (cache_of r) (fun c -> c.load q)))
+  in
   let pending = ref [] in
   for r = outputs - 1 downto 0 do
     for q = plan.folds - 1 downto 0 do
-      if cached.(r).(q) = None then begin
+      if cells.(r).(q) = None then begin
         let train, held_out = fold_indices plan q in
-        pending := (r, q, train, held_out) :: !pending
+        pending := { output = r; fold = q; train; held_out } :: !pending
       end
     done
   done;
   let pending = Array.of_list !pending in
-  let fresh = if Array.length pending = 0 then [||] else fit_curves pending in
-  if Array.length fresh <> Array.length pending then
-    invalid_arg "Crossval.run_fold_curves_multi: curve count mismatch";
-  Array.iteri
-    (fun i (r, q, _, _) ->
-      (match cache_of r with None -> () | Some c -> c.store q fresh.(i));
-      cached.(r).(q) <- Some fresh.(i))
-    pending;
+  (* A finished job's curve reaches its cache at once, so a run killed
+     mid-grid keeps every job that completed before the kill. *)
+  let finish i curve =
+    let j = pending.(i) in
+    Option.iter (fun c -> c.store j.fold curve) (cache_of j.output);
+    cells.(j.output).(j.fold) <- Some curve
+  in
+  if Array.length pending > 0 then fit pending ~finish;
   Array.map
-    (Array.map (function Some c -> c | None -> assert false))
-    cached
+    (Array.map (function
+      | Some c -> c
+      | None -> invalid_arg "Crossval.run_grid: a job was left unfinished"))
+    cells
+
+let fold_curves ?pool plan fit_curve =
+  (run_grid ~outputs:1 plan
+     ~fit:(each ?pool (fun j -> fit_curve ~train:j.train ~held_out:j.held_out)))
+    .(0)
+
+let run ?pool plan ~fit ~error =
+  let errs =
+    fold_curves ?pool plan (fun ~train ~held_out ->
+        [| error (fit ~train) ~held_out |])
+  in
+  Array.fold_left (fun acc e -> acc +. e.(0)) 0. errs
+  /. float_of_int plan.folds
 
 let run_curves ?pool plan ~fit_curve =
-  let curves =
-    run_fold_curves ?pool plan ~fit_curve:(fun _ ~train ~held_out ->
-        fit_curve ~train ~held_out)
-  in
-  let acc = ref [||] in
-  for q = 0 to plan.folds - 1 do
-    let curve = curves.(q) in
-    if q = 0 then acc := Array.map (fun e -> e /. float_of_int plan.folds) curve
-    else begin
-      if Array.length curve <> Array.length !acc then
-        invalid_arg "Crossval.run_curves: runs returned curves of different lengths";
-      Array.iteri
-        (fun i e -> !acc.(i) <- !acc.(i) +. (e /. float_of_int plan.folds))
-        curve
-    end
+  let curves = fold_curves ?pool plan fit_curve in
+  let fq = float_of_int plan.folds in
+  let acc = Array.map (fun e -> e /. fq) curves.(0) in
+  for q = 1 to plan.folds - 1 do
+    if Array.length curves.(q) <> Array.length acc then
+      invalid_arg
+        "Crossval.run_curves: runs returned curves of different lengths";
+    Array.iteri (fun i e -> acc.(i) <- acc.(i) +. (e /. fq)) curves.(q)
   done;
-  !acc
+  acc
 
 let argmin curve =
   if Array.length curve = 0 then invalid_arg "Crossval.argmin: empty curve";

@@ -35,73 +35,62 @@ type fold_cache = {
   load : int -> float array option;
       (** [load q] returns fold [q]'s previously computed curve, or
           [None] to fit it. Called sequentially, in fold order, before
-          any fold body runs. *)
+          any job runs. *)
   store : int -> float array -> unit;
       (** [store q curve] persists a freshly fitted fold curve; called
-          from the fold body (possibly from a worker domain — stores for
-          distinct folds must not share unsynchronized state). *)
+          as soon as the job finishes (possibly from a worker domain —
+          stores for distinct folds must not share unsynchronized
+          state). *)
 }
 (** Hook for per-fold checkpointing of a λ-sweep: a killed CV run
     resumes at the first fold [load] cannot supply. The IO itself (file
     naming, validation against the plan) lives with the caller — see
     [Rsm.Select]. *)
 
-val run_fold_curves :
-  ?pool:Parallel.Pool.t -> ?cache:fold_cache -> plan ->
-  fit_curve:(int -> train:int array -> held_out:int array -> float array) ->
-  float array array
-(** [run_fold_curves plan ~fit_curve] is the per-fold layer under
-    {!run_curves}: it returns the Q raw curves in fold order without
-    averaging (the caller may need the spread, e.g. a one-SE rule).
-    [fit_curve] additionally receives the fold index. With [?cache],
-    folds whose curve [load]s are skipped entirely and fresh curves are
-    handed to [store]; because a stored curve is the bitwise result of
-    the fold fit (text checkpoints must round-trip at full precision,
-    e.g. ["%.17g"]), a resumed run averages to exactly the bits of an
-    uninterrupted one. [?pool] as in {!run}. *)
+type job = {
+  output : int;  (** response index [r] *)
+  fold : int;  (** fold index [q] *)
+  train : int array;  (** training rows of fold [q], ascending *)
+  held_out : int array;  (** held-out rows of fold [q], ascending *)
+}
+(** One (output, fold) cell of a CV grid. *)
 
-val run_fold_curves_batch :
-  ?cache:fold_cache ->
-  plan ->
-  fit_curves:((int * int array * int array) array -> float array array) ->
-  float array array
-(** [run_fold_curves_batch plan ~fit_curves] is {!run_fold_curves} with
-    all uncached folds fitted by {e one} call:
-    [fit_curves [| (q, train, held_out); … |]] (ascending fold order)
-    must return one curve per entry, in order. This is the entry point
-    for fused fold fitting — the caller runs all fold solvers in
-    lockstep and shares each step's column generation across folds (see
-    [Rsm.Select]); with per-fold results bitwise equal to independent
-    fits, the returned curves equal {!run_fold_curves}'s. [?cache] as
-    in {!run_fold_curves}: loads happen sequentially before fitting,
-    fresh curves are stored per fold.
-    @raise Invalid_argument when [fit_curves] returns the wrong number
-    of curves. *)
+type fitter = job array -> finish:(int -> float array -> unit) -> unit
+(** How a grid's pending jobs are fitted: [fit jobs ~finish] must call
+    [finish i curve] exactly once per job [jobs.(i)], as soon as that
+    job's held-out error curve is known. A fitter may fit the jobs one
+    by one ({!each}) or advance them together and share per-step work
+    (the fused lockstep fitter in [Rsm.Select]). *)
 
-val run_fold_curves_multi :
+val each : ?pool:Parallel.Pool.t -> (job -> float array) -> fitter
+(** [each fit_curve] is the per-job fitter: every job is fitted on its
+    own, one pool chunk per job when [?pool] is given (sequentially
+    otherwise). [fit_curve] is then called from several domains
+    concurrently and must not share mutable state across jobs. *)
+
+val run_grid :
   ?caches:fold_cache option array ->
   outputs:int ->
   plan ->
-  fit_curves:((int * int * int array * int array) array -> float array array) ->
+  fit:fitter ->
   float array array array
-(** [run_fold_curves_multi ~outputs plan ~fit_curves] extends
-    {!run_fold_curves_batch} to [R = outputs] responses sharing one
-    fold plan: every (output, fold) pair whose curve is not cached is
-    handed to {e one} call
-    [fit_curves [| (r, q, train, held_out); … |]] (output-major, folds
-    ascending within each output), which must return one curve per
-    entry, in order. The result is indexed [.(r).(q)]. This is the
-    entry point for fused multi-output fitting — the caller runs all
-    R×Q fold solvers in lockstep and shares each step's column
-    generation across the whole grid (see [Rsm.Select]); with
-    per-(output, fold) results bitwise equal to independent fits, the
-    returned curves equal R separate {!run_fold_curves} runs. [?caches]
-    supplies one optional {!fold_cache} per output; loads happen
-    sequentially before fitting, fresh curves are stored per
-    (output, fold).
+(** [run_grid ~outputs plan ~fit] is the CV fold-curve grid: [R =
+    outputs] responses share one fold plan, and every (output, fold)
+    cell whose curve is not cached becomes a {!job} (output-major, folds
+    ascending within each output), all handed to {e one} [fit] call.
+    The result is indexed [.(r).(q)]; each cell holds exactly the curve
+    its job produced, so any fitter whose per-job curves equal
+    independent fits yields the same grid, at every domain count.
+
+    [?caches] supplies one optional {!fold_cache} per output: loads
+    happen sequentially before fitting, and a job's curve is stored the
+    moment the fitter finishes it — a fitter that raises part-way leaves
+    every finished job stored. Because a stored curve is the bitwise
+    result of the fit (text checkpoints must round-trip at full
+    precision, e.g. ["%.17g"]), a resumed grid equals an uninterrupted
+    one bit for bit.
     @raise Invalid_argument when [outputs < 1], when [caches] has the
-    wrong length, or when [fit_curves] returns the wrong number of
-    curves. *)
+    wrong length, or when [fit] returns without finishing every job. *)
 
 val run_curves :
   ?pool:Parallel.Pool.t -> plan ->

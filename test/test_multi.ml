@@ -6,22 +6,26 @@
      per-output run_robust with a copy of the same generator (finite
      evaluators); a single-simulator multi run equals run_robust
      exactly, report included.
-   - Crossval.run_fold_curves_multi equals the per-output fold loop and
+   - Crossval.run_grid over R outputs equals R single-output grids and
      validates its inputs.
-   - the fused multi-output grid (omp/star/lars_multi_p) is bitwise
-     equal to R independent single-output selections, dense and
-     streamed, at 1/2/4 domains, for every path solver — including the
-     Lars.Engine walk against Lars.path_p.
-   - Solver.fit_multi_p's fused and per-output drivers agree bitwise,
-     and both agree with R independent fit_cv_p calls.
+   - the multi-output grid (omp/star/lars_multi_p) is bitwise equal to
+     R independent single-output selections, dense and streamed, at
+     1/2/4 domains, for every path solver — including the Lars.Engine
+     walk against Lars.path_p.
+   - Solver.fit_multi_p's fused and per-output modes agree bitwise,
+     and both agree with R independent fit_cv_p calls — R = 1 on a
+     dense provider included.
    - the Multi checkpoint manifest + per-output Cv fold files resume
-     bitwise after deleting arbitrary cells, resume across drivers
+     bitwise after deleting arbitrary cells, resume across modes
      (fused grid <-> per-output), and reject mismatched shapes.
-   - resolve_fused_multi: explicit fused + shards raises Conflict;
-     Pipeline.config rejects the same combination as Error (Config _);
+   - Select.fused, the one driver rule, over its whole input space;
      Pipeline.fit_multi rejects adaptive retry as Error (Config _).
-   - Pipeline.fit_multi shares rows across outputs and its two drivers
-     produce bitwise-identical models. *)
+   - Pipeline.fit_multi shares rows across outputs and its two modes
+     produce bitwise-identical models.
+
+   The mode is picked by input: unsharded exact fits run fused
+   (R >= 2 or streamed), [~shards:2] runs per-job path fits, which are
+   bitwise equal to unsharded ones. *)
 open Test_util
 module P = Polybasis.Design.Provider
 module Sim = Circuit.Simulator
@@ -156,33 +160,33 @@ let test_run_robust_multi_validation () =
   check_raises_invalid "dimension mismatch" (fun () ->
       Sim.run_robust_multi [| sims3.(0); odd |] (Randkit.Prng.create 1) ~k:5)
 
-(* --- Crossval.run_fold_curves_multi -------------------------------- *)
+(* --- Crossval.run_grid over several outputs ------------------------- *)
 
 let test_fold_curves_multi () =
+  let module Cv = Stat.Crossval in
   let rng = Randkit.Prng.create 5 in
-  let plan = Stat.Crossval.make_plan rng ~n:20 ~folds:4 in
-  let curve_of r q ~train ~held_out =
+  let plan = Cv.make_plan rng ~n:20 ~folds:4 in
+  let curve_of r (j : Cv.job) =
     [|
-      float_of_int ((10 * r) + q + Array.length train);
-      float_of_int (Array.length held_out);
+      float_of_int ((10 * r) + j.Cv.fold + Array.length j.Cv.train);
+      float_of_int (Array.length j.Cv.held_out);
     |]
   in
   let reference =
     Array.init 3 (fun r ->
-        Stat.Crossval.run_fold_curves plan ~fit_curve:(curve_of r))
+        (Cv.run_grid ~outputs:1 plan ~fit:(Cv.each (curve_of r))).(0))
   in
   let multi =
-    Stat.Crossval.run_fold_curves_multi ~outputs:3 plan
-      ~fit_curves:(fun pending ->
-        Array.map
-          (fun (r, q, train, held_out) -> curve_of r q ~train ~held_out)
-          pending)
+    Cv.run_grid ~outputs:3 plan
+      ~fit:(Cv.each (fun j -> curve_of j.Cv.output j))
   in
   check_bool "multi fold curves equal the per-output loop" true
     (multi = reference);
   check_raises_invalid "outputs must be positive" (fun () ->
-      Stat.Crossval.run_fold_curves_multi ~outputs:0 plan
-        ~fit_curves:(fun _ -> [||]))
+      Cv.run_grid ~outputs:0 plan ~fit:(fun _ ~finish:_ -> ()));
+  check_raises_invalid "cache count mismatch" (fun () ->
+      Cv.run_grid ~caches:[| None |] ~outputs:2 plan
+        ~fit:(Cv.each (curve_of 0)))
 
 (* --- fused multi-output selection vs independent fits --------------- *)
 
@@ -210,17 +214,17 @@ let prop_fused_multi_bitwise solver seed =
   in
   let single pool src f =
     (* An independent single-output selection from the same generator
-       state, on the fold-at-a-time driver (fused:false), so the grid
-       is checked against the plain path_p walks. *)
+       state, in per-fold mode (~shards:2), so the grid is checked
+       against the plain path_p walks. *)
     let r0 = Randkit.Prng.create (seed + 11) in
     match solver with
-    | `Omp -> Rsm.Select.omp_p ~pool ~fused:false r0 ~max_lambda:5 src f
-    | `Star -> Rsm.Select.star_p ~pool ~fused:false r0 ~max_lambda:5 src f
+    | `Omp -> Rsm.Select.omp_p ~pool ~shards:2 r0 ~max_lambda:5 src f
+    | `Star -> Rsm.Select.star_p ~pool ~shards:2 r0 ~max_lambda:5 src f
     | `Lar ->
-        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lar ~fused:false r0
+        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lar ~shards:2 r0
           ~max_lambda:5 src f
     | `Lasso ->
-        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lasso ~fused:false r0
+        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lasso ~shards:2 r0
           ~max_lambda:5 src f
   in
   List.iter
@@ -256,12 +260,12 @@ let test_solver_fit_multi_parity () =
       let name = if P.is_streamed src then "streamed" else "dense" in
       List.iter
         (fun meth ->
-          let fit fused_outputs =
+          let fit ?shards () =
             Array.map model_bits
-              (Rsm.Solver.fit_multi_p ~max_lambda:5 ~fused_outputs
+              (Rsm.Solver.fit_multi_p ~max_lambda:5 ?shards
                  (Randkit.Prng.create 99) src fs meth)
           in
-          let fused = fit true and per = fit false in
+          let fused = fit () and per = fit ~shards:2 () in
           let singles =
             Array.map
               (fun f ->
@@ -277,7 +281,17 @@ let test_solver_fit_multi_parity () =
           check_bool
             (Printf.sprintf "%s %s per-output == independent fit_cv_p" name
                mname)
-            true (per = singles))
+            true (per = singles);
+          (* One output on a dense provider: the rule runs it per-fold
+             (it ran the fused grid before the rule existed). *)
+          if not (P.is_streamed src) then
+            check_bool
+              (Printf.sprintf "dense %s R = 1 fit_multi_p == fit_cv_p" mname)
+              true
+              (Array.map model_bits
+                 (Rsm.Solver.fit_multi_p ~max_lambda:5
+                    (Randkit.Prng.create 99) src [| fs.(1) |] meth)
+              = [| singles.(1) |]))
         [ Rsm.Solver.Lar; Rsm.Solver.Lasso; Rsm.Solver.Omp; Rsm.Solver.Star ])
     [ src_d; src_s ];
   (* A non-path method has no fused grid; fit_multi_p still fits every
@@ -350,12 +364,12 @@ let test_multi_checkpoint_resume () =
       let resumed = run ~checkpoint:base ~resume:true () in
       check_bool "resume after deleted cells is bitwise equal" true
         (reference = resumed);
-      (* Cross-driver resume: the per-output driver reads the same
+      (* Cross-mode resume: the per-output mode reads the same
          per-output fold files the fused grid wrote. *)
       Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file (out_base 0) 2);
       let per_output =
         Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~fused_outputs:false
+          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~shards:2
              ~cv_checkpoint:base ~cv_resume:true (Randkit.Prng.create 21) src
              fs Rsm.Solver.Lar)
       in
@@ -368,39 +382,35 @@ let test_multi_checkpoint_resume () =
           Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
             (Randkit.Prng.create 21) ~max_lambda:6 src fs))
 
-(* --- driver resolution and config conflicts ------------------------- *)
+(* --- the driver rule -------------------------------------------------- *)
 
-let test_resolve_fused_multi () =
-  let resolve = Rsm.Select.resolve_fused_multi in
-  check_bool "auto: exact unsharded is fused" true
-    (resolve ~sweep:None ~fused:None ~shards:None);
-  check_bool "auto: dense default fused too" true
-    (resolve ~sweep:(Some Rsm.Corr_sweep.Exact) ~fused:None ~shards:(Some 1));
-  check_bool "auto: sharded forces per-output" false
-    (resolve ~sweep:None ~fused:None ~shards:(Some 2));
-  check_bool "auto: incremental sweep forces per-output" false
-    (resolve
-       ~sweep:(Some (Rsm.Corr_sweep.incremental ()))
-       ~fused:None ~shards:None);
-  check_bool "explicit off" false
-    (resolve ~sweep:None ~fused:(Some false) ~shards:None);
-  check_bool "explicit on, legal" true
-    (resolve ~sweep:None ~fused:(Some true) ~shards:(Some 1));
-  match resolve ~sweep:None ~fused:(Some true) ~shards:(Some 2) with
-  | _ -> Alcotest.fail "explicit fused + shards should raise Conflict"
-  | exception Rsm.Select.Conflict _ -> ()
-
-let test_config_conflicts () =
-  (match Robust.Pipeline.config ~fused_outputs:true ~shards:2 () with
-  | Error (Robust.Error.Config _) -> ()
-  | Ok _ -> Alcotest.fail "fused_outputs + shards accepted"
-  | Error e ->
-      Alcotest.failf "wrong error category: %s" (Robust.Error.to_string e));
-  match Robust.Pipeline.config ~fused_outputs:true ~shards:1 () with
-  | Ok cfg ->
-      check_bool "legal fused_outputs kept" true
-        (cfg.Robust.Pipeline.fused_outputs = Some true)
-  | Error e -> Alcotest.failf "legal config rejected: %s" (Robust.Error.to_string e)
+(* Select.fused over sweep {Exact, Incremental} x shards {1, 2} x
+   {dense, streamed} x R {1, 3}: fused exactly on the exact sweep, one
+   shard, and a streamed provider or several outputs. *)
+let test_driver_rule () =
+  List.iter
+    (fun (sweep, exact) ->
+      List.iter
+        (fun shards ->
+          List.iter
+            (fun streamed ->
+              List.iter
+                (fun outputs ->
+                  check_bool
+                    (Printf.sprintf "%s, %d shard(s), %s, R = %d"
+                       (Rsm.Corr_sweep.sweep_to_string sweep)
+                       shards
+                       (if streamed then "streamed" else "dense")
+                       outputs)
+                    (exact && shards = 1 && (streamed || outputs = 3))
+                    (Rsm.Select.fused ~sweep ~shards ~streamed ~outputs))
+                [ 1; 3 ])
+            [ false; true ])
+        [ 1; 2 ])
+    [
+      (Rsm.Corr_sweep.Exact, true);
+      (Rsm.Corr_sweep.incremental (), false);
+    ]
 
 (* --- Pipeline.fit_multi --------------------------------------------- *)
 
@@ -416,24 +426,24 @@ let opamp_setting () =
 
 let test_pipeline_fit_multi () =
   let sims, basis = opamp_setting () in
-  let cfg fused_outputs =
+  let cfg shards =
     match
       Robust.Pipeline.config ~method_:Rsm.Solver.Lar ~samples:60 ~max_lambda:6
         ~faults:(Sim.fault_plan ~rate:0.1 ())
-        ~min_samples:20 ~quorum:0.5 ~fused_outputs ()
+        ~min_samples:20 ~quorum:0.5 ~shards ()
     with
     | Ok cfg -> cfg
     | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
   in
-  let fit fused_outputs =
+  let fit shards =
     match
-      Robust.Pipeline.fit_multi (cfg fused_outputs) sims basis
+      Robust.Pipeline.fit_multi (cfg shards) sims basis
         (Randkit.Prng.create 12)
     with
     | Ok o -> o
     | Error e -> Alcotest.failf "fit_multi: %s" (Robust.Error.to_string e)
   in
-  let a = fit true and b = fit false in
+  let a = fit 1 and b = fit 2 in
   check_int "one model per metric" (Array.length sims)
     (Array.length a.Robust.Pipeline.models);
   check_bool "rows shared across outputs" true
@@ -505,8 +515,7 @@ let suite =
       case "solver: fit_multi_p validation" test_fit_multi_validation;
       case "checkpoint: delete cells, resume, cross-driver"
         test_multi_checkpoint_resume;
-      case "resolve_fused_multi: auto and conflicts" test_resolve_fused_multi;
-      case "pipeline config: fused_outputs conflicts" test_config_conflicts;
+      case "driver rule: truth table" test_driver_rule;
       case "pipeline: fit_multi shares rows, drivers agree"
         test_pipeline_fit_multi;
       case "pipeline: fit_multi rejects adaptive retry"

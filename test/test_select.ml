@@ -131,6 +131,40 @@ let test_needs_overdetermined () =
     (List.map Rsm.Solver.needs_overdetermined Rsm.Solver.all
     = [ true; false; false; false ])
 
+(* A response whose length disagrees with the design is rejected up
+   front: no fold runs and no fold checkpoint is written. *)
+let test_response_length_checked () =
+  let g, f = sparse_problem ~k:40 ~m:20 ~support:[| 3 |] ~coeffs:[| 1. |] 7 in
+  let src = Polybasis.Design.Provider.dense g in
+  let base =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rsm_test_len_%d" (Unix.getpid ()))
+  in
+  let select name fit =
+    List.iter
+      (fun (tag, f) ->
+        match fit base f with
+        | _ -> Alcotest.failf "%s accepted a %s response" name tag
+        | exception Invalid_argument m ->
+            check_bool
+              (Printf.sprintf "%s %s response: %s" name tag m)
+              true
+              (m = "Select: response length mismatch");
+            for q = 0 to 3 do
+              check_bool
+                (Printf.sprintf "%s %s response wrote no fold %d" name tag q)
+                false
+                (Sys.file_exists (Rsm.Serialize.Checkpoint.Cv.fold_file base q))
+            done)
+      [ ("short", Array.sub f 0 39); ("long", Array.append f [| 0. |]) ]
+  in
+  select "omp_p" (fun checkpoint f ->
+      Rsm.Select.omp_p ~checkpoint (rng ()) ~max_lambda:5 src f);
+  select "star_p" (fun checkpoint f ->
+      Rsm.Select.star_p ~checkpoint (rng ()) ~max_lambda:5 src f);
+  select "lars_p" (fun checkpoint f ->
+      Rsm.Select.lars_p ~checkpoint (rng ()) ~max_lambda:5 src f)
+
 let suite =
   ( "select",
     [
@@ -140,6 +174,8 @@ let suite =
       case "lars cv" test_lars_cv_runs;
       case "generic: pads short paths" test_generic_pads_short_paths;
       case "fold count parameter" test_folds_parameter;
+      case "response length checked before any fold"
+        test_response_length_checked;
       case "solver: names" test_solver_names;
       case "solver: of_name" test_solver_of_name;
       case "solver: fit dispatch" test_solver_fit_dispatch;

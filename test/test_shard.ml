@@ -13,7 +13,8 @@
      banned (duplicate) columns.
    - Procs mode (re-exec'd worker processes) is bitwise equal too.
    - a worker SIGKILLed mid-fit (RSM_SHARD_FAULT) is respawned, replays
-     the command log, and the fit output stays bitwise identical.
+     the command log, and the fit output stays bitwise identical; fleets
+     of concurrent per-fold CV fits count every recovery.
    - a checkpointed sharded run resumes bitwise equal to the
      uninterrupted run. *)
 open Test_util
@@ -329,6 +330,34 @@ let test_process_shard_kill_recovery () =
         true (!recovered >= 1))
     sweeps
 
+(* Per-fold CV runs its process fleets on several pool domains at
+   once, all adding to one recovery counter. With shard 1 killing
+   itself on its first selection, every fleet recovers exactly once:
+   4 folds plus the refit. *)
+let test_cv_fleet_recovery_count () =
+  let rng, _, _, g = random_setting 19 in
+  let src = P.dense g in
+  let f = sparse_response rng src in
+  let select ?shards ?shard_mode ?recovered pool =
+    let r =
+      Rsm.Select.omp_p ~pool ~folds:4 ?shards ?shard_mode ?recovered
+        (Randkit.Prng.create 3) ~max_lambda:5 src f
+    in
+    (r.Rsm.Select.lambda, r.Rsm.Select.curve, model_bits r.Rsm.Select.model)
+  in
+  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+      let reference = select pool in
+      Unix.putenv "RSM_SHARD_FAULT" "1:1";
+      let recovered = ref 0 in
+      let killed =
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "")
+          (fun () ->
+            select ~shards:2 ~shard_mode:SS.Procs ~recovered pool)
+      in
+      check_bool "killed-shard CV bitwise" true (killed = reference);
+      check_int "one recovery per fleet (4 folds + refit)" 5 !recovered)
+
 (* --- checkpoint/resume under sharding ------------------------------ *)
 
 let test_lars_sharded_resume_bitwise () =
@@ -415,6 +444,8 @@ let suite =
       case "OMP process shards bitwise" test_omp_process_shards_bitwise;
       slow_case "killed process shard recovers bitwise"
         test_process_shard_kill_recovery;
+      slow_case "per-fold CV fleets count every recovery"
+        test_cv_fleet_recovery_count;
       case "sharded checkpoint resume bitwise" test_lars_sharded_resume_bitwise;
       case "every checkpoint resumes bitwise (bans, 1/3 shards)"
         test_lars_resume_every_checkpoint;

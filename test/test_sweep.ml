@@ -14,7 +14,8 @@
      uninterrupted incremental run.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
-   - fused CV selection is bitwise equal to the per-fold driver.
+   - fused CV selection is bitwise equal to the per-fold driver, and
+     the CV grid hands each finished job to its cache at once.
    - Pipeline.screen_refit (gram down-date) matches a cold refit on the
      kept rows. *)
 open Test_util
@@ -457,20 +458,24 @@ let test_lar_resume_every_checkpoint () =
 
 (* --- fused CV vs per-fold CV --------------------------------------- *)
 
+(* The driver is picked by input (Select.fused): unsharded exact CV on
+   a streamed provider runs the fused grid, [~shards:2] runs per-fold
+   path fits (bitwise equal to unsharded ones). On a dense provider
+   both arms run per-fold. *)
 let prop_fused_cv_bitwise solver seed =
   let rng, basis, pts, g = random_setting seed in
   let src_s = P.streamed basis pts in
   let src_d = P.dense g in
   let f = sparse_response rng src_s in
-  let select ~fused pool src =
+  let select ?shards pool src =
     let r =
       match solver with
       | `Omp ->
-          Rsm.Select.omp_p ~pool ~fused
+          Rsm.Select.omp_p ~pool ?shards
             (Randkit.Prng.create (seed + 1))
             ~max_lambda:5 src f
       | `Star ->
-          Rsm.Select.star_p ~pool ~fused
+          Rsm.Select.star_p ~pool ?shards
             (Randkit.Prng.create (seed + 1))
             ~max_lambda:5 src f
     in
@@ -484,7 +489,7 @@ let prop_fused_cv_bitwise solver seed =
         List.map
           (fun d ->
             Parallel.Pool.with_pool ~domains:d (fun pool ->
-                (select ~fused:true pool src, select ~fused:false pool src)))
+                (select pool src, select ~shards:2 pool src)))
           [ 1; 2 ]
       in
       List.iter
@@ -497,41 +502,89 @@ let prop_fused_cv_bitwise solver seed =
     [ src_d; src_s ];
   true
 
+module Cv = Stat.Crossval
+
+let toy_curve (j : Cv.job) =
+  [| float_of_int (j.Cv.fold + Array.length j.Cv.train);
+     float_of_int (Array.length j.Cv.held_out) |]
+
+(* A batch fitter in the fused style: it sees every pending job at
+   once and finishes them in its own order (here, reversed). *)
+let reversed_batch seen jobs ~finish =
+  seen := Array.to_list (Array.map (fun (j : Cv.job) -> j.Cv.fold) jobs);
+  for i = Array.length jobs - 1 downto 0 do
+    finish i (toy_curve jobs.(i))
+  done
+
 let test_batch_fold_curves () =
   let rng = Randkit.Prng.create 5 in
-  let plan = Stat.Crossval.make_plan rng ~n:20 ~folds:4 in
-  let curve_of q ~train ~held_out =
-    [| float_of_int (q + Array.length train); float_of_int (Array.length held_out) |]
+  let plan = Cv.make_plan rng ~n:20 ~folds:4 in
+  let grid ?cache fit =
+    (Cv.run_grid ?caches:(Option.map (fun c -> [| Some c |]) cache)
+       ~outputs:1 plan ~fit).(0)
   in
-  let reference =
-    Stat.Crossval.run_fold_curves plan ~fit_curve:curve_of
-  in
-  let batched =
-    Stat.Crossval.run_fold_curves_batch plan ~fit_curves:(fun pending ->
-        Array.map (fun (q, train, held_out) -> curve_of q ~train ~held_out)
-          pending)
-  in
-  check_bool "batched == per-fold" true (reference = batched);
+  let reference = grid (Cv.each toy_curve) in
+  check_bool "per-fold curves are the folds' own" true
+    (Array.for_all Fun.id
+       (Array.mapi
+          (fun q c ->
+            let train, held_out = Cv.fold_indices plan q in
+            c = [| float_of_int (q + Array.length train);
+                   float_of_int (Array.length held_out) |])
+          reference));
+  check_bool "batched == per-fold" true
+    (reference = grid (reversed_batch (ref [])));
   (* With a cache covering fold 1, the batch must only see the others. *)
   let cache =
-    Stat.Crossval.
+    Cv.
       {
         load = (fun q -> if q = 1 then Some reference.(1) else None);
         store = (fun _ _ -> ());
       }
   in
   let seen = ref [] in
-  let cached =
-    Stat.Crossval.run_fold_curves_batch ~cache plan ~fit_curves:(fun pending ->
-        seen := Array.to_list (Array.map (fun (q, _, _) -> q) pending);
-        Array.map (fun (q, train, held_out) -> curve_of q ~train ~held_out)
-          pending)
-  in
+  let cached = grid ~cache (reversed_batch seen) in
   check_bool "cached fold skipped" true (!seen = [ 0; 2; 3 ]);
   check_bool "cached batch == per-fold" true (reference = cached);
-  check_raises_invalid "curve count mismatch" (fun () ->
-      ignore
-        (Stat.Crossval.run_fold_curves_batch plan ~fit_curves:(fun _ -> [||])))
+  check_raises_invalid "unfinished job" (fun () ->
+      ignore (grid (fun _ ~finish:_ -> ())))
+
+(* A job's curve reaches its cache the moment the fitter finishes it:
+   a fitter that finishes one job and then dies leaves that job
+   stored, so a resumed run skips it. *)
+let test_grid_stores_finished_jobs () =
+  let plan = Cv.make_plan (Randkit.Prng.create 6) ~n:16 ~folds:4 in
+  let stored = Array.make_matrix 2 4 None in
+  let caches =
+    Array.init 2 (fun r ->
+        Some
+          Cv.
+            {
+              load = (fun _ -> None);
+              store = (fun q c -> stored.(r).(q) <- Some c);
+            })
+  in
+  let first = ref None in
+  (match
+     Cv.run_grid ~caches ~outputs:2 plan ~fit:(fun jobs ~finish ->
+         let j = jobs.(5) in
+         first := Some (j.Cv.output, j.Cv.fold);
+         finish 5 (toy_curve j);
+         failwith "killed")
+   with
+  | _ -> Alcotest.fail "the fitter's failure must propagate"
+  | exception Failure _ -> ());
+  check_bool "the finished job is output 1, fold 1" true
+    (!first = Some (1, 1));
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun q c ->
+          check_bool
+            (Printf.sprintf "cell (%d, %d) stored iff finished" r q)
+            (r = 1 && q = 1) (c <> None))
+        row)
+    stored
 
 (* --- screen_refit -------------------------------------------------- *)
 
@@ -686,6 +739,8 @@ let suite =
       case "every checkpoint resumes bitwise (bans, 1/3 shards)"
         test_lar_resume_every_checkpoint;
       case "batched fold curves == per-fold" test_batch_fold_curves;
+      case "grid stores a job the moment it finishes"
+        test_grid_stores_finished_jobs;
       case "screen_refit == cold refit" test_screen_refit_matches_cold;
       case "screen_refit keeps model when rows run out"
         test_screen_refit_too_few_rows;
