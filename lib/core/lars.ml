@@ -142,6 +142,9 @@ module Engine = struct
     on_singular : [ `Stop | `Fallback ];
     max_steps : int;
     max_active : int;
+    (* Lar mode: the walk halts after the first step whose support
+       exceeds this size; [max_int] when uncapped and in Lasso mode. *)
+    max_support : int;
     f : Vec.t;
     mutable steps_rev : step list;
     (* One checkpoint event per recorded step, newest first. *)
@@ -156,12 +159,15 @@ module Engine = struct
     mutable c : Vec.t;
   }
 
-  let validate src f ~max_steps =
+  let validate ?max_support src f ~max_steps =
     if Array.length f <> Provider.rows src then
       invalid_arg "Lars.path: response length mismatch";
-    if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive"
+    if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive";
+    match max_support with
+    | Some s when s <= 0 -> invalid_arg "Lars.path: max_support must be positive"
+    | _ -> ()
 
-  let make ~mode ~tol ~on_singular ~norms src f ~max_steps =
+  let make ~mode ~tol ~on_singular ?max_support ~norms src f ~max_steps =
     let k = Provider.rows src and m = Provider.cols src in
     Array.iteri
       (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
@@ -188,6 +194,10 @@ module Engine = struct
       on_singular;
       max_steps;
       max_active = min k m;
+      max_support =
+        (match (mode, max_support) with
+        | Lar, Some s -> s
+        | Lar, None | Lasso, _ -> max_int);
       f;
       steps_rev = [];
       events = [];
@@ -199,10 +209,10 @@ module Engine = struct
       c = [||];
     }
 
-  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
-      ~max_steps =
-    validate src f ~max_steps;
-    make ~mode ~tol ~on_singular
+  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
+      ?max_support src f ~max_steps =
+    validate ?max_support src f ~max_steps;
+    make ~mode ~tol ~on_singular ?max_support
       ~norms:(Provider.column_norms ?pool src)
       src f ~max_steps
 
@@ -379,6 +389,21 @@ module Engine = struct
       entry
     end
 
+  (* The support cap. A Lar coefficient, once nonzero, never returns to
+     exactly zero, so after a step whose support exceeds [max_support]
+     no later step can fit it again. The test is on the support, not on
+     the active set: a near-dependent entrant can pass the factor append
+     and keep an exactly-zero coefficient, leaving the support smaller
+     than the active set. *)
+  let cap t =
+    let st = t.st in
+    if
+      List.fold_left
+        (fun n j -> if st.beta.(j) <> 0. then n + 1 else n)
+        0 st.active
+      > t.max_support
+    then t.stop <- true
+
   (* Direction phase: γ is the first crossing — an inactive column
      catching up ([bound]), the saturation step C/A, or (lasso) an
      active coefficient reaching zero at γ = −β_j/d_j. Returns (γ, drop),
@@ -399,6 +424,7 @@ module Engine = struct
           end)
         dir.act;
     advance t dir ~gamma:!gamma ~drop:!drop;
+    cap t;
     settle t;
     (!gamma, !drop)
 
@@ -500,14 +526,16 @@ module Engine = struct
        the iteration counter resumes at the event count. *)
     t.nsteps <- t.nevents;
     t.initial_c <- ck.Ckpt.scale;
+    cap t;
     settle t
 end
 
 let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     ?(sweep = Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_steps =
-  Engine.validate src f ~max_steps;
+    ?(shard_mode = Shard_sweep.Domains) ?recovered ?max_support src f
+    ~max_steps =
+  Engine.validate ?max_support src f ~max_steps;
   if checkpoint_every < 0 then
     invalid_arg "Lars.path: negative checkpoint interval";
   if shards < 1 then invalid_arg "Lars.path: shards must be positive";
@@ -518,8 +546,8 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   Shard_sweep.run ?pool ?recovered ~mode:shard_mode ~shards ~sweep src ~r0:f
   @@ fun sh ->
   let t =
-    Engine.make ~mode ~tol ~on_singular ~norms:(Shard_sweep.raw_norms sh) src
-      f ~max_steps
+    Engine.make ~mode ~tol ~on_singular ?max_support
+      ~norms:(Shard_sweep.raw_norms sh) src f ~max_steps
   in
   let st = t.Engine.st in
   let column j = Provider.Cache.column st.cache j in
@@ -574,7 +602,8 @@ let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
   let rec run max_steps =
     let steps =
       path_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
-        ?resume ?sweep ?shards ?shard_mode ?recovered src f ~max_steps
+        ?resume ?sweep ?shards ?shard_mode ?recovered ~max_support:lambda src f
+        ~max_steps
     in
     let best = ref None in
     Array.iter

@@ -43,6 +43,7 @@ val path_p :
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->
+  ?max_support:int ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   max_steps:int ->
@@ -124,7 +125,25 @@ val path_p :
     by replaying the engine's command log — also bitwise. [recovered]
     (when given) accumulates the number of worker recoveries, so
     drivers can report survived crashes without touching model
-    notes. *)
+    notes.
+
+    [max_support] (Lar mode only; ignored under [Lasso], whose drops
+    can shrink the support again) caps the walk at the support size its
+    caller can use: the walk halts right after the first step whose
+    model has more than [max_support] nonzero coefficients. A Lar
+    coefficient, once nonzero, never returns to exactly zero, so no
+    later step could fit the cap again. Every step runs unchanged up to
+    the halt — a dependent entrant at the boundary is still banned
+    ([`Fallback]) or held ([`Stop]), step and note recorded — so the
+    capped steps are a bitwise prefix of the uncapped walk holding every
+    step whose support fits the cap, and the terminal checkpoint holds
+    that prefix (it resumes, capped or not, like any other; replaying a
+    longer log under a cap replays it whole, then halts). The cap counts
+    nonzero coefficients, not active columns: a near-dependent entrant
+    can pass the factor append with an exactly-zero coefficient. A
+    clean capped walk costs at most [2·max_support + 2] sweeps. Omitted,
+    the walk is uncapped. @raise Invalid_argument when
+    [max_support <= 0]. *)
 
 val fit_p :
   ?mode:mode ->
@@ -144,7 +163,11 @@ val fit_p :
   Model.t
 (** [fit_p src f ~lambda] is the last path model with at most [lambda]
     active coefficients — λ plays the same sparsity-budget role as in
-    Algorithm 1. The step budget starts at [2·lambda + 8] and doubles
+    Algorithm 1. The walk runs with [~max_support:lambda] (see
+    {!path_p}), so a Lar fit stops at the (λ+1)-th entry instead of
+    walking steps it would discard; the model is the uncapped walk's,
+    and so is a resumed fit's, whatever log it resumes from.
+    The step budget starts at [2·lambda + 8] and doubles
     (up to 8×) while the budget truncates the path before any model fits
     the sparsity bound; if even then no step qualifies, the returned
     empty model carries a [Model.notes] entry saying so rather than
@@ -175,12 +198,17 @@ module Engine : sig
     ?tol:float ->
     ?pool:Parallel.Pool.t ->
     ?on_singular:[ `Stop | `Fallback ] ->
+    ?max_support:int ->
     Polybasis.Design.Provider.t ->
     Linalg.Vec.t ->
     max_steps:int ->
     t
   (** Same validation and defaults as {!path_p}; [pool] is used only
-      for the one-time column-norms sweep. *)
+      for the one-time column-norms sweep. [max_support] caps a Lar walk
+      as in {!path_p}. The cap halts the walk right after a direction
+      phase, so a walk it halts issued exactly 2·(movement steps) +
+      (ban steps) requests — at most [2·max_support + 2] on a walk whose
+      every step adds a column. *)
 
   val finished : t -> bool
   (** True once the walk stopped or exhausted [max_steps]. *)

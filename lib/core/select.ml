@@ -350,7 +350,10 @@ let lar_step_budget max_lambda = min ((2 * max_lambda) + 8) (4 * max_lambda)
 (* The LAR walk needs two sweeps per movement step, so its lockstep
    round feeds each live engine's requested vector — residual or
    equiangular direction, the engines are mutually independent — into
-   one [gram_tr_multi] pass. *)
+   one [gram_tr_multi] pass. Every walk is capped at the support its
+   λ-indexed models can use ([max_support], Lar mode only): a Lar
+   support never shrinks, so the steps after the first one past λ
+   coefficients feed no entry of the curve or the refit. *)
 let lars_cv ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?checkpoint ?resume ~multi rng ~max_lambda src fs =
   let module E = Lars.Engine in
@@ -360,7 +363,7 @@ let lars_cv ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     {
       create =
         (fun p f ->
-          E.create ?mode ?pool ?on_singular p f
+          E.create ?mode ?pool ?on_singular ~max_support:max_lambda p f
             ~max_steps:(lar_step_budget max_lambda));
       finished = E.finished;
       round =
@@ -375,7 +378,8 @@ let lars_cv ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
         (fun p f ~max_lambda ->
           lars_lambda_models p ~max_lambda
             (Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-               ?recovered p f ~max_steps:(lar_step_budget max_lambda)));
+               ?recovered ~max_support:max_lambda p f
+               ~max_steps:(lar_step_budget max_lambda)));
     }
 
 let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode

@@ -100,7 +100,16 @@ val lars_p :
     and [shards]/[shard_mode]/[recovered] as in {!omp_p}. In fused mode
     each fold's walk runs on a {!Lars.Engine}, and each lockstep round
     serves both of its per-step sweeps from one
-    {!Corr_sweep.gram_tr_multi} pass. *)
+    {!Corr_sweep.gram_tr_multi} pass.
+
+    In [Lar] mode every walk — fold engines, per-job {!Lars.path_p}
+    fits and the final refit — runs with [~max_support] set to the
+    largest λ it can feed ([max_lambda] on the folds, the chosen λ on
+    the refit), so it stops right after its first step past that
+    support instead of spending the rest of the [2λ + 8] step budget;
+    a clean walk then needs at most [2λ + 2] sweeps. The λ, curve and
+    model are bitwise those of uncapped walks. [Lasso] walks, whose
+    drops can shrink the support, run the whole budget. *)
 
 val generic_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->

@@ -681,12 +681,36 @@ module Provider = struct
         Parallel.Pool.parallel_for_chunks pool
           ~grain:(Parallel.Pool.grain_for ~work:s.sk) ~lo:0 ~hi:s.sm
           (fun ~lo ~hi ->
+            (* [entry]'s float sequence with the per-column dispatch
+               hoisted out of the row loop, as in [dots_block]. *)
+            let k = s.sk and vt = s.vtab in
             for j = lo to hi - 1 do
               let acc = ref 0. in
-              for i = 0 to s.sk - 1 do
-                let v = entry s j i in
-                acc := !acc +. (v *. v)
-              done;
+              (match Array.unsafe_get s.cterms j with
+              | Const ->
+                  for _ = 0 to k - 1 do
+                    acc := !acc +. 1.
+                  done
+              | Single o ->
+                  for i = 0 to k - 1 do
+                    let v = Array.unsafe_get vt (o + i) in
+                    acc := !acc +. (v *. v)
+                  done
+              | Pair (o1, o2) ->
+                  for i = 0 to k - 1 do
+                    let v =
+                      Array.unsafe_get vt (o1 + i) *. Array.unsafe_get vt (o2 + i)
+                    in
+                    acc := !acc +. (v *. v)
+                  done
+              | Many offs ->
+                  for i = 0 to k - 1 do
+                    let e = ref 1. in
+                    Array.iter
+                      (fun o -> e := !e *. Array.unsafe_get vt (o + i))
+                      offs;
+                    acc := !acc +. (!e *. !e)
+                  done);
               out.(j) <- sqrt !acc
             done);
         out

@@ -40,4 +40,5 @@ let () =
       Test_burst.suite;
       Test_sampler.suite;
       Test_multi.suite;
+      Test_lar_cap.suite;
     ]
