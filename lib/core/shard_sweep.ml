@@ -228,7 +228,7 @@ let local_commit l ~gamma ~dirv ~refresh =
 
 type spec_payload =
   | PDense of Mat.t
-  | PStreamed of int * Polybasis.Term.t array * Vec.t array
+  | PStreamed of Basis.t * Vec.t array
 
 type init_payload = {
   i_shard : int;
@@ -289,8 +289,7 @@ let vmhwm_kb () =
 
 let build_window = function
   | PDense g -> Provider.dense g
-  | PStreamed (dim, terms, samples) ->
-      Provider.streamed (Basis.create dim terms) samples
+  | PStreamed (basis, samples) -> Provider.streamed basis samples
 
 let exec_local l (c : cmd) : reply =
   match c with
@@ -465,16 +464,9 @@ let expect_unit = function
 
 let payload ~src ~sweep ~r0 (rg : Shard.range) shard =
   let spec =
-    match Provider.spec src with
-    | `Dense _ -> (
-        match Provider.spec (Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi)
-        with
-        | `Dense g -> PDense g
-        | `Streamed _ -> assert false)
-    | `Streamed (basis, samples) ->
-        let w = rg.Shard.hi - rg.lo in
-        let terms = Array.init w (fun dj -> Basis.term basis (rg.lo + dj)) in
-        PStreamed (Basis.dim basis, terms, samples)
+    match Provider.spec (Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi) with
+    | `Dense g -> PDense g
+    | `Streamed (basis, samples) -> PStreamed (basis, samples)
   in
   Init
     {
@@ -640,8 +632,8 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
         InImage
           (Array.mapi
              (fun i (rg : Shard.range) ->
-               (* A single shard owns the whole dictionary: no window
-                  copy of a dense matrix. *)
+               (* A single shard owns the whole dictionary: it sweeps
+                  the provider itself, not a window of it. *)
                let win =
                  if rg.Shard.lo = 0 && rg.hi = m then src
                  else Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi

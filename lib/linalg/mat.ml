@@ -7,6 +7,10 @@ let create r c =
   check_dims r c;
   { rows = r; cols = c; data = Array.make (r * c) 0. }
 
+let uninit r c =
+  check_dims r c;
+  { rows = r; cols = c; data = Array.create_float (r * c) }
+
 let init r c f =
   check_dims r c;
   let data = Array.make (r * c) 0. in

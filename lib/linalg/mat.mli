@@ -13,6 +13,11 @@ type t = private { rows : int; cols : int; data : float array }
 val create : int -> int -> t
 (** [create r c] is the zero matrix of shape [r×c]. *)
 
+val uninit : int -> int -> t
+(** [uninit r c] is an [r×c] matrix with unspecified entries: there is
+    no zero-fill pass, so a parallel builder is the first to touch its
+    pages. Every entry must be written before it is read. *)
+
 val init : int -> int -> (int -> int -> float) -> t
 (** [init r c f] fills entry [(i, j)] with [f i j]. *)
 

@@ -1,37 +1,69 @@
 open Linalg
 
+(* A compiled term: offsets into a flat Hermite value table, so the hot
+   loops dispatch once per term and the factor loop is pure float
+   loads. The offset of (variable v, degree d) is
+   ((v·(order+1)) + d)·stride: stride 1 addresses the per-row table of
+   [matrix_rows], stride K the sample-innermost table of the streamed
+   provider, where each offset is the base of a length-K slice. *)
+type cterm = Const | Single of int | Pair of int * int | Many of int array
+
+let compile_terms b ~stride =
+  let ord1 = Basis.max_degree b + 1 in
+  let off (v, d) = ((v * ord1) + d) * stride in
+  Array.init (Basis.size b) (fun j ->
+      match Basis.term b j with
+      | [||] -> Const
+      | [| p |] -> Single (off p)
+      | [| p; q |] -> Pair (off p, off q)
+      | pairs -> Many (Array.map off pairs))
+
 let matrix_rows ?pool b samples =
   let k = Array.length samples in
-  let m = Basis.size b in
-  let g = Mat.create k m in
-  if k > 0 then begin
-    Array.iter
-      (fun s ->
-        if Array.length s <> Basis.dim b then
-          invalid_arg "Design.matrix_rows: sample dimension mismatch")
-      samples;
+  let m = Basis.size b and n = Basis.dim b in
+  Array.iter
+    (fun s ->
+      if Array.length s <> n then
+        invalid_arg "Design.matrix_rows: sample dimension mismatch")
+    samples;
+  (* No zero-fill: every entry is written below, and the row chunks are
+     the first to touch their pages. *)
+  let g = Mat.uninit k m in
+  if k > 0 && m > 0 then begin
     let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
+    let ord1 = Basis.max_degree b + 1 in
+    let cterms = compile_terms b ~stride:1 in
+    let data = g.Mat.data in
     (* Row-parallel: each chunk owns a disjoint row block of [g] and its
-       own Hermite scratch tables, so rows are evaluated exactly as in a
-       sequential loop — the result is bitwise identical for every
-       domain count. *)
-    (* Per-row work is one term evaluation per column; the grain keeps
-       tiny designs on the sequential path. *)
-    let grain = Parallel.Pool.grain_for ~work:m in
-    if Basis.dim b = 0 then
-      Parallel.Pool.parallel_for pool ~grain ~lo:0 ~hi:k (fun i ->
+       own Hermite table (the [Basis.fill_tables] recurrence, flattened),
+       so rows are evaluated exactly as in a sequential loop — the result
+       is bitwise identical for every domain count. Entries are the
+       products [1 · a · b …] of [Term.eval_tables], left to right. The
+       grain keeps tiny designs on the sequential path. *)
+    Parallel.Pool.parallel_for_chunks pool
+      ~grain:(Parallel.Pool.grain_for ~work:m) ~lo:0 ~hi:k (fun ~lo ~hi ->
+        let tbl = Array.make (max 1 (n * ord1)) 0. in
+        for i = lo to hi - 1 do
+          let y = samples.(i) in
+          for v = 0 to n - 1 do
+            Hermite.eval_all_into tbl ~pos:(v * ord1) ~deg:(ord1 - 1) y.(v)
+          done;
+          let base = i * m in
           for j = 0 to m - 1 do
-            Mat.unsafe_set g i j (Term.eval (Basis.term b j) samples.(i))
-          done)
-    else
-      Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:k (fun ~lo ~hi ->
-          let tbl = Basis.make_tables b in
-          for i = lo to hi - 1 do
-            Basis.fill_tables b tbl samples.(i);
-            for j = 0 to m - 1 do
-              Mat.unsafe_set g i j (Term.eval_tables (Basis.term b j) tbl)
-            done
-          done)
+            Array.unsafe_set data (base + j)
+              (match Array.unsafe_get cterms j with
+              | Const -> 1.
+              | Single o -> Array.unsafe_get tbl o
+              | Pair (o1, o2) ->
+                  Array.unsafe_get tbl o1 *. Array.unsafe_get tbl o2
+              | Many offs ->
+                  let e = ref 1. in
+                  for t = 0 to Array.length offs - 1 do
+                    e := !e *. Array.unsafe_get tbl (Array.unsafe_get offs t)
+                  done;
+                  !e)
+          done
+        done)
   end;
   g
 
@@ -42,19 +74,21 @@ let matrix ?pool b samples =
 
 let row = Basis.eval_point
 
-let column_norms ?pool g =
-  let k = Mat.rows g and m = Mat.cols g in
-  let out = Array.make m 0. in
-  if k > 0 && m > 0 then begin
+(* Sums of squares of the columns [col0, col0 + w) of [g] over the
+   rows listed in [rows] — the dense kernel of both {!column_norms} and
+   the row-mapped provider views. Column-chunked; each column
+   accumulates over the listed rows in order, so the result is bitwise
+   identical to the sequential double loop for every domain count. *)
+let view_norms ?pool g rows ~col0 ~w =
+  let k = Array.length rows and gm = Mat.cols g in
+  let out = Array.make w 0. in
+  if k > 0 && w > 0 then begin
     let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-    (* Column-chunked; each column's sum of squares is accumulated over
-       rows in ascending order, so the result is bitwise identical to
-       the sequential double loop for every domain count. *)
     Parallel.Pool.parallel_for_chunks pool
-      ~grain:(Parallel.Pool.grain_for ~work:k) ~lo:0 ~hi:m (fun ~lo ~hi ->
+      ~grain:(Parallel.Pool.grain_for ~work:k) ~lo:0 ~hi:w (fun ~lo ~hi ->
         let data = g.Mat.data in
         for i = 0 to k - 1 do
-          let base = i * m in
+          let base = (Array.unsafe_get rows i * gm) + col0 in
           for j = lo to hi - 1 do
             let v = Array.unsafe_get data (base + j) in
             Array.unsafe_set out j (Array.unsafe_get out j +. (v *. v))
@@ -63,18 +97,10 @@ let column_norms ?pool g =
   end;
   Array.map sqrt out
 
-module Provider = struct
-  (* A compiled term: per-column offsets into the transposed Hermite
-     value table, so the hot sweep dispatches once per column and the
-     row loop is pure float loads. The offset of (variable v, degree d)
-     is the base of the contiguous length-K slice holding g_d(Δy_v) for
-     every sample. *)
-  type cterm =
-    | Const
-    | Single of int
-    | Pair of int * int
-    | Many of int array
+let column_norms ?pool g =
+  view_norms ?pool g (Array.init (Mat.rows g) Fun.id) ~col0:0 ~w:(Mat.cols g)
 
+module Provider = struct
   type streamed = {
     basis : Basis.t;
     samples : Vec.t array;
@@ -92,7 +118,15 @@ module Provider = struct
     lock : Mutex.t;
   }
 
-  type t = Dense of Mat.t | Streamed of streamed
+  (* A row-mapped view of one shared matrix: local row i is row
+     [rows.(i)] of [g], local column j is column [col0 + j]. CV folds
+     ([select_rows]) and shard windows ([window]) compose the map and the
+     offset instead of copying, and every kernel reads local rows in
+     ascending order, so each column keeps the float sequence of the
+     equivalent copied matrix. *)
+  type view = { g : Mat.t; rows : int array; col0 : int; ncols : int }
+
+  type t = Dense of view | Streamed of streamed
 
   let default_tile_cols = 256
 
@@ -129,17 +163,9 @@ module Provider = struct
     done;
     vtab
 
-  let compile_terms b k =
-    let ord1 = Basis.max_degree b + 1 in
-    let off (v, d) = ((v * ord1) + d) * k in
-    Array.init (Basis.size b) (fun j ->
-        match Basis.term b j with
-        | [||] -> Const
-        | [| p |] -> Single (off p)
-        | [| p; q |] -> Pair (off p, off q)
-        | pairs -> Many (Array.map off pairs))
-
-  let dense g = Dense g
+  let dense g =
+    Dense
+      { g; rows = Array.init (Mat.rows g) Fun.id; col0 = 0; ncols = Mat.cols g }
 
   let streamed ?(tile_cols = default_tile_cols) b samples =
     if tile_cols < 1 then
@@ -157,15 +183,15 @@ module Provider = struct
         sk = k;
         sm = Basis.size b;
         vtab = build_vtab b samples k;
-        cterms = compile_terms b k;
+        cterms = compile_terms b ~stride:k;
         tile = tile_cols;
         scratch = Hashtbl.create 4;
         lock = Mutex.create ();
       }
 
-  let rows = function Dense g -> Mat.rows g | Streamed s -> s.sk
+  let rows = function Dense d -> Array.length d.rows | Streamed s -> s.sk
 
-  let cols = function Dense g -> Mat.cols g | Streamed s -> s.sm
+  let cols = function Dense d -> d.ncols | Streamed s -> s.sm
 
   let tile_cols = function
     | Dense _ -> default_tile_cols
@@ -256,9 +282,10 @@ module Provider = struct
     if Array.length buf <> rows p then
       invalid_arg "Design.Provider.column_into: buffer length mismatch";
     match p with
-    | Dense g ->
-        for i = 0 to Mat.rows g - 1 do
-          buf.(i) <- Mat.unsafe_get g i j
+    | Dense d ->
+        let gm = Mat.cols d.g and data = d.g.Mat.data and c = d.col0 + j in
+        for i = 0 to Array.length d.rows - 1 do
+          buf.(i) <- Array.unsafe_get data ((Array.unsafe_get d.rows i * gm) + c)
         done
     | Streamed s ->
         for i = 0 to s.sk - 1 do
@@ -275,7 +302,16 @@ module Provider = struct
     if Array.length x <> rows p then
       invalid_arg "Design.Provider.col_dot: length mismatch";
     match p with
-    | Dense g -> Mat.col_dot g j x
+    | Dense d ->
+        let gm = Mat.cols d.g and data = d.g.Mat.data and c = d.col0 + j in
+        let acc = ref 0. in
+        for i = 0 to Array.length d.rows - 1 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get data ((Array.unsafe_get d.rows i * gm) + c)
+               *. Array.unsafe_get x i)
+        done;
+        !acc
     | Streamed s ->
         let out = [| 0. |] in
         dots_block s x out ~lo:j ~hi:(j + 1) ~off:0;
@@ -285,7 +321,18 @@ module Provider = struct
     check_col "col_col_dot" p i;
     check_col "col_col_dot" p j;
     match p with
-    | Dense g -> Mat.col_col_dot g i j
+    | Dense d ->
+        let gm = Mat.cols d.g and data = d.g.Mat.data in
+        let ci = d.col0 + i and cj = d.col0 + j in
+        let acc = ref 0. in
+        for r = 0 to Array.length d.rows - 1 do
+          let base = Array.unsafe_get d.rows r * gm in
+          acc :=
+            !acc
+            +. (Array.unsafe_get data (base + ci)
+               *. Array.unsafe_get data (base + cj))
+        done;
+        !acc
     | Streamed s ->
         let bi = acquire s s.sk and bj = acquire s s.sk in
         column_into p i bi;
@@ -295,8 +342,25 @@ module Provider = struct
         release s bj;
         d
 
+  (* The view as a matrix of its own: the shared matrix itself when the
+     view covers all of it, else a copy of the viewed block. *)
+  let materialize d =
+    let k = Array.length d.rows in
+    let rec identity i = i >= k || (d.rows.(i) = i && identity (i + 1)) in
+    if k = Mat.rows d.g && d.col0 = 0 && d.ncols = Mat.cols d.g && identity 0
+    then d.g
+    else begin
+      let out = Mat.uninit k d.ncols and gm = Mat.cols d.g in
+      Array.iteri
+        (fun i r ->
+          Array.blit d.g.Mat.data ((r * gm) + d.col0) out.Mat.data (i * d.ncols)
+            d.ncols)
+        d.rows;
+      out
+    end
+
   let to_dense ?pool = function
-    | Dense g -> g
+    | Dense d -> materialize d
     | Streamed s -> matrix_rows ?pool s.basis s.samples
 
   (* A column-range view [jlo, jhi) of the provider, reindexed to
@@ -308,21 +372,14 @@ module Provider = struct
      [select_rows] on a window stay consistent. Column j of the window
      is generated by exactly the float sequence that produces column
      [jlo + j] of the parent, so every window kernel is bitwise equal
-     to the corresponding slice of a full-provider kernel. *)
+     to the corresponding slice of a full-provider kernel. Dense windows
+     shift the view's column offset and share the matrix. *)
   let window p ~jlo ~jhi =
     if jlo < 0 || jhi > cols p || jlo >= jhi then
       invalid_arg "Design.Provider.window: column range out of bounds";
     let w = jhi - jlo in
     match p with
-    | Dense g ->
-        let k = Mat.rows g in
-        let out = Mat.create k w in
-        for i = 0 to k - 1 do
-          for dj = 0 to w - 1 do
-            Mat.unsafe_set out i dj (Mat.unsafe_get g i (jlo + dj))
-          done
-        done;
-        Dense out
+    | Dense d -> Dense { d with col0 = d.col0 + jlo; ncols = w }
     | Streamed s ->
         let terms = Array.init w (fun dj -> Basis.term s.basis (jlo + dj)) in
         Streamed
@@ -338,14 +395,22 @@ module Provider = struct
   (* The provider's construction recipe, for shipping a window to
      another process: a streamed provider is (basis, samples) — the
      receiver rebuilds bitwise-identical Hermite tables from them — and
-     a dense one is its matrix. *)
+     a dense one is its (materialized) matrix. *)
   let spec = function
-    | Dense g -> `Dense g
+    | Dense d -> `Dense (materialize d)
     | Streamed s -> `Streamed (s.basis, s.samples)
 
   let select_rows p idx =
     match p with
-    | Dense g -> Dense (Mat.select_rows g idx)
+    | Dense d ->
+        (* Errors match those of a [Mat.select_rows] copy of the view. *)
+        let k = Array.length d.rows in
+        Array.iter
+          (fun i ->
+            if i < 0 || i >= k then
+              invalid_arg "Mat.select_rows: row out of bounds")
+          idx;
+        Dense { d with rows = Array.map (fun i -> d.rows.(i)) idx }
     | Streamed s ->
         Array.iter
           (fun i ->
@@ -365,13 +430,13 @@ module Provider = struct
     let k = rows p in
     let w = jhi - jlo in
     match p with
-    | Dense g ->
+    | Dense d ->
         let tile = Array.make (max 1 (k * w)) 0. in
+        let gm = Mat.cols d.g in
         for i = 0 to k - 1 do
-          let base = i * w in
-          for dj = 0 to w - 1 do
-            Array.unsafe_set tile (base + dj) (Mat.unsafe_get g i (jlo + dj))
-          done
+          Array.blit d.g.Mat.data
+            ((d.rows.(i) * gm) + d.col0 + jlo)
+            tile (i * w) w
         done;
         f tile
     | Streamed s ->
@@ -408,11 +473,11 @@ module Provider = struct
      cache, with the column loop unrolled 4-wide (each column still
      accumulates over rows in ascending order — same bits as
      [Mat.col_dot], the unroll only interleaves independent columns). *)
-  let dense_sweep_block g r out ~lo ~hi =
-    let k = Mat.rows g and m = Mat.cols g in
-    let data = g.Mat.data in
-    for i = 0 to k - 1 do
-      let base = i * m in
+  let dense_sweep_block d r out ~lo ~hi =
+    let m = Mat.cols d.g in
+    let data = d.g.Mat.data in
+    for i = 0 to Array.length d.rows - 1 do
+      let base = (Array.unsafe_get d.rows i * m) + d.col0 in
       let ri = Array.unsafe_get r i in
       let j = ref lo in
       while !j + 4 <= hi do
@@ -446,9 +511,9 @@ module Provider = struct
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
     let grain = Parallel.Pool.grain_for ~work:(rows p) in
     (match p with
-    | Dense g ->
+    | Dense d ->
         Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:m
-          (fun ~lo ~hi -> dense_sweep_block g r out ~lo ~hi)
+          (fun ~lo ~hi -> dense_sweep_block d r out ~lo ~hi)
     | Streamed s ->
         Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:m
           (fun ~lo ~hi -> dots_block s r out ~lo ~hi ~off:lo));
@@ -478,14 +543,14 @@ module Provider = struct
       ~init:(-1, 0.)
       ~fold:(fun ~lo ~hi ->
         match p with
-        | Dense g ->
+        | Dense d ->
             (* Per-chunk dots buffer indexed from 0; each column still
                accumulates over rows in ascending order. *)
             let dots = Array.make (hi - lo) 0. in
-            let k = Mat.rows g and mm = Mat.cols g in
-            let data = g.Mat.data in
-            for i = 0 to k - 1 do
-              let base = (i * mm) + lo in
+            let mm = Mat.cols d.g in
+            let data = d.g.Mat.data in
+            for i = 0 to Array.length d.rows - 1 do
+              let base = (Array.unsafe_get d.rows i * mm) + d.col0 + lo in
               let ri = Array.unsafe_get r i in
               for j = 0 to hi - lo - 1 do
                 Array.unsafe_set dots j
@@ -597,26 +662,36 @@ module Provider = struct
     release s buf
 
   (* Dense block: read each stored column once per fold via direct
-     row-major indexing — same ascending-row accumulation. *)
-  let multi_block_dense g fold_rows rs ~lo ~hi ~emit =
-    let m = Mat.cols g in
-    let data = g.Mat.data in
+     row-major indexing — same ascending-row accumulation. [bases.(q)]
+     holds fold q's rows composed through the view's row map, as offsets
+     of local column 0 in the shared matrix. *)
+  let multi_block_dense data bases rs ~lo ~hi ~emit =
     let nq = Array.length rs in
     for j = lo to hi - 1 do
       for q = 0 to nq - 1 do
-        let idx = Array.unsafe_get fold_rows q in
+        let base = Array.unsafe_get bases q in
         let r = Array.unsafe_get rs q in
         let n = Array.length r in
         let acc = ref 0. in
         for i = 0 to n - 1 do
           acc :=
             !acc
-            +. (Array.unsafe_get data ((Array.unsafe_get idx i * m) + j)
+            +. (Array.unsafe_get data (Array.unsafe_get base i + j)
                *. Array.unsafe_get r i)
         done;
         emit q j !acc
       done
     done
+
+  let multi_block p fold_rows rs =
+    match p with
+    | Dense d ->
+        let gm = Mat.cols d.g in
+        let bases =
+          Array.map (Array.map (fun i -> (d.rows.(i) * gm) + d.col0)) fold_rows
+        in
+        multi_block_dense d.g.Mat.data bases rs
+    | Streamed s -> multi_block_streamed s fold_rows rs
 
   let gram_tr_multi ?pool p ~rows:fold_rows rs =
     multi_check "gram_tr_multi" p fold_rows rs;
@@ -624,14 +699,11 @@ module Provider = struct
     let nq = Array.length rs in
     let outs = Array.init nq (fun _ -> Array.make m 0.) in
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
+    let block = multi_block p fold_rows rs in
     Parallel.Pool.parallel_for_chunks pool
       ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
       ~lo:0 ~hi:m
-      (fun ~lo ~hi ->
-        let emit q j acc = outs.(q).(j) <- acc in
-        match p with
-        | Dense g -> multi_block_dense g fold_rows rs ~lo ~hi ~emit
-        | Streamed s -> multi_block_streamed s fold_rows rs ~lo ~hi ~emit);
+      (fun ~lo ~hi -> block ~lo ~hi ~emit:(fun q j acc -> outs.(q).(j) <- acc));
     outs
 
   let argmax_abs_multi ?pool ~skips p ~rows:fold_rows rs =
@@ -646,6 +718,7 @@ module Provider = struct
           invalid_arg "Design.Provider.argmax_abs_multi: skip length mismatch")
       skips;
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
+    let block = multi_block p fold_rows rs in
     Parallel.Pool.parallel_reduce pool ?chunks:None
       ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
       ~lo:0 ~hi:m
@@ -659,9 +732,7 @@ module Provider = struct
             if c > b then best.(q) <- (j, c)
           end
         in
-        (match p with
-        | Dense g -> multi_block_dense g fold_rows rs ~lo ~hi ~emit
-        | Streamed s -> multi_block_streamed s fold_rows rs ~lo ~hi ~emit);
+        block ~lo ~hi ~emit;
         best)
       ~combine:(fun a b ->
         (* Strict > per fold keeps the earlier chunk's winner on exact
@@ -672,7 +743,7 @@ module Provider = struct
 
   let column_norms ?pool p =
     match p with
-    | Dense g -> column_norms ?pool g
+    | Dense d -> view_norms ?pool d.g d.rows ~col0:d.col0 ~w:d.ncols
     | Streamed s ->
         let out = Array.make s.sm 0. in
         let pool =

@@ -14,6 +14,11 @@ val matrix : ?pool:Parallel.Pool.t -> Basis.t -> Linalg.Mat.t -> Linalg.Mat.t
     shared {!Parallel.Pool.default} pool); each chunk fills a disjoint
     row block from its own Hermite tables, so the result is bitwise
     identical to the sequential evaluation for every domain count.
+    Terms are compiled once to offsets into a flat per-row Hermite
+    table, and each entry is the product [1 · a · b …] of
+    {!Term.eval_tables} in the same order, bitwise {!Basis.eval_point}
+    of the row. No entry is boxed, and the matrix is not zero-filled
+    first, so the row chunks are the first to touch its pages.
     @raise Invalid_argument when [N ≠ Basis.dim b]. *)
 
 val matrix_rows :
@@ -34,9 +39,19 @@ val column_norms : ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t
 (** A design-matrix source the solvers consume without knowing whether
     the matrix is materialized.
 
-    [Dense] wraps an existing [Mat.t]. [Streamed] generates any column
-    on demand from cached 1-D Hermite value tables — [K·N·(order+1)]
-    floats built once per fit by the same three-term recurrence as
+    [Dense] is a row-mapped view of an existing [Mat.t]: a list of its
+    rows and a range of its columns. {!Provider.select_rows} and
+    {!Provider.window} compose that map and share the matrix, so the CV
+    folds, held-out sets and in-process shard windows of a dense fit all
+    read one [K×M] matrix — peak memory is that one matrix, not one copy
+    per fold. Only {!Provider.to_dense} and {!Provider.spec} materialize
+    a view (a proper sub-view is copied; the full view returns the
+    matrix itself); they serve process shards and solvers that need a
+    plain [Mat.t].
+
+    [Streamed] generates any column on demand from cached 1-D Hermite
+    value tables — [K·N·(order+1)] floats built once per fit by the
+    same three-term recurrence as
     {!Basis.fill_tables}, laid out sample-innermost so per-column sweeps
     read contiguous memory. Every term is pre-compiled to absolute
     table offsets, so the correlation sweep's inner loop is pure float
@@ -45,15 +60,19 @@ val column_norms : ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t
     {b Bitwise contract}: every streamed entry equals the dense entry
     produced by {!matrix_rows} bit for bit (same recurrence, same
     product order as [Term.eval_tables]), and every kernel below
-    accumulates whole columns over rows in ascending order. Dense and
-    streamed providers therefore yield bitwise-identical sweeps, norms,
-    dots — and hence identical solver paths — at every domain count. *)
+    accumulates whole columns over rows in ascending order — on a dense
+    view, over the view's local rows, so each column is the float
+    sequence of the equivalent copied matrix. Dense views, their
+    copies, and streamed providers therefore yield bitwise-identical
+    sweeps, norms, dots — and hence identical solver paths — at every
+    domain count. *)
 module Provider : sig
   type t
 
   val dense : Linalg.Mat.t -> t
-  (** Wrap a materialized design matrix; all kernels delegate to the
-      existing dense implementations. *)
+  (** The full view of a materialized design matrix (identity row map,
+      all columns). The matrix is shared, not copied: do not mutate it
+      while the provider or any view of it is in use. *)
 
   val streamed : ?tile_cols:int -> Basis.t -> Linalg.Vec.t array -> t
   (** [streamed b samples] is the matrix-free provider for the design
@@ -75,14 +94,20 @@ module Provider : sig
   val is_streamed : t -> bool
 
   val to_dense : ?pool:Parallel.Pool.t -> t -> Linalg.Mat.t
-  (** The full [K×M] matrix. Free for [Dense]; materializes (via
+  (** The full [K×M] matrix. Free for the full view of a dense matrix;
+      copies the viewed block for a proper dense view; materializes (via
       {!matrix_rows}) for [Streamed] — only call this on paths that
       genuinely need the dense form. *)
 
   val select_rows : t -> int array -> t
-  (** Row-subset provider (the CV folds). [Dense] gathers rows;
-      [Streamed] rebuilds the Hermite tables over the sample subset —
-      bitwise identical to gathering rows of the materialized matrix. *)
+  (** Row-subset provider (the CV folds): local row [i] is row
+      [idx.(i)] of [p]. [Dense] composes the row maps in O(|idx|) and
+      shares the matrix — no row is copied; [Streamed] rebuilds the
+      Hermite tables over the sample subset. Both are bitwise identical
+      to gathering rows of the materialized matrix. Indices may repeat
+      and need not be sorted.
+      @raise Invalid_argument on an out-of-range index, with the message
+      of {!Linalg.Mat.select_rows} for [Dense]. *)
 
   val window : t -> jlo:int -> jhi:int -> t
   (** [window p ~jlo ~jhi] is the column-range view [jlo, jhi) of [p],
@@ -90,7 +115,9 @@ module Provider : sig
       of the sharded sweep engine. [Streamed] windows share the
       parent's Hermite value table (K·N·(order+1) floats, independent
       of M) and slice the compiled terms, so S windows cost O(M)
-      pointer copies total; [Dense] copies the column block. Window
+      pointer copies total; [Dense] shifts the view's column offset and
+      shares the matrix, so a fleet of in-process dense shards holds one
+      matrix. Window
       column [j] is generated by exactly the float sequence of parent
       column [jlo + j], so every kernel on the window is bitwise equal
       to the corresponding slice of the full-provider kernel.
@@ -101,7 +128,7 @@ module Provider : sig
       matrix for [Dense]. Process-sharded fitting ships a term slice of
       the recipe to each worker, which rebuilds its window from scratch
       (bitwise-identical Hermite recurrences) in its own address
-      space. *)
+      space. A dense view is materialized as in {!to_dense}. *)
 
   val column : t -> int -> Linalg.Vec.t
   (** [column p j] is a fresh copy of column [j]. *)

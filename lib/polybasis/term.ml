@@ -40,18 +40,24 @@ let max_var t = Array.fold_left (fun acc (v, _) -> max acc v) (-1) t
 
 let vars t = Array.to_list (Array.map fst t)
 
+(* Plain loops keep [acc] an unboxed local, so no factor allocates.
+   Factors multiply left to right from 1, the order every design kernel
+   reproduces. *)
 let eval t dy =
   let acc = ref 1. in
-  Array.iter
-    (fun (v, d) ->
-      if v >= Array.length dy then invalid_arg "Term.eval: variable out of range";
-      acc := !acc *. Hermite.eval d dy.(v))
-    t;
+  for p = 0 to Array.length t - 1 do
+    let v, d = Array.unsafe_get t p in
+    if v >= Array.length dy then invalid_arg "Term.eval: variable out of range";
+    acc := !acc *. Hermite.eval d dy.(v)
+  done;
   !acc
 
 let eval_tables t tbl =
   let acc = ref 1. in
-  Array.iter (fun (v, d) -> acc := !acc *. tbl.(v).(d)) t;
+  for p = 0 to Array.length t - 1 do
+    let v, d = Array.unsafe_get t p in
+    acc := !acc *. tbl.(v).(d)
+  done;
   !acc
 
 let compare a b =

@@ -209,6 +209,172 @@ let prop_select_rows_bitwise seed =
              P.to_dense ~pool sub_s)));
   true
 
+(* --- row-mapped dense views ------------------------------------------ *)
+
+(* A view chain applied twice: to the provider (views sharing [g]) and
+   to a reference matrix by explicit copies — [Mat.select_rows] for a
+   row subset, an entry-by-entry block copy for a column window. *)
+type view_op = Rows of int array | Win of int * int
+
+let apply_op p = function
+  | Rows idx -> P.select_rows p idx
+  | Win (jlo, jhi) -> P.window p ~jlo ~jhi
+
+let copy_op g = function
+  | Rows idx -> Linalg.Mat.select_rows g idx
+  | Win (jlo, jhi) ->
+      Linalg.Mat.init (Linalg.Mat.rows g) (jhi - jlo) (fun i j ->
+          Linalg.Mat.get g i (jlo + j))
+
+(* A random op on a k×m operand: row subsets are unsorted and may repeat
+   rows; windows are non-empty column ranges. *)
+let random_op rng ~k ~m = function
+  | `Rows ->
+      Rows
+        (Array.init (1 + Randkit.Prng.int rng k) (fun _ ->
+             Randkit.Prng.int rng k))
+  | `Win ->
+      let jlo = Randkit.Prng.int rng m in
+      Win (jlo, jlo + 1 + Randkit.Prng.int rng (m - jlo))
+
+let view_chains =
+  [ [ `Rows ]; [ `Rows; `Rows ]; [ `Rows; `Win ]; [ `Win; `Rows ];
+    [ `Win; `Rows; `Win; `Rows ] ]
+
+(* Every kernel's output on one provider, as comparable values. *)
+let kernel_outputs rng pool p =
+  let k = P.rows p and m = P.cols p in
+  let r = Randkit.Gaussian.vector rng k in
+  let skip = Array.init m (fun _ -> Randkit.Prng.int rng 4 = 0) in
+  let j = Randkit.Prng.int rng m and j' = Randkit.Prng.int rng m in
+  let jlo = Randkit.Prng.int rng m in
+  let jhi = jlo + Randkit.Prng.int rng (m - jlo + 1) in
+  let buf = Array.make k 0. in
+  P.column_into p j buf;
+  (* Two ascending folds over the provider's rows, as CV builds them. *)
+  let folds =
+    List.filter
+      (fun f -> f <> [||])
+      [ Array.init ((k + 1) / 2) (fun i -> 2 * i);
+        Array.init (k / 2) (fun i -> (2 * i) + 1) ]
+    |> Array.of_list
+  in
+  let rs =
+    Array.map (fun f -> Randkit.Gaussian.vector rng (Array.length f)) folds
+  in
+  let skips = Array.map (fun _ -> skip) folds in
+  let cache = P.Cache.create p in
+  let spec =
+    match P.spec p with
+    | `Dense g -> Linalg.Mat.to_arrays g
+    | `Streamed _ -> [||]
+  in
+  ( ( P.gram_tr ~pool p r,
+      P.argmax_abs ~pool ~skip p r,
+      P.column_norms ~pool p,
+      P.gram_tr_multi ~pool p ~rows:folds rs,
+      P.argmax_abs_multi ~pool ~skips p ~rows:folds rs ),
+    ( buf,
+      P.column p j',
+      Linalg.Mat.to_arrays (P.columns p [| j; j'; j |]),
+      P.col_dot p j r,
+      P.col_col_dot p j j',
+      (P.Cache.col_dot cache j r, P.Cache.col_col_dot cache j j') ),
+    ( P.with_tile p ~jlo ~jhi Array.copy,
+      Linalg.Mat.to_arrays (P.to_dense ~pool p),
+      spec,
+      Linalg.Mat.to_arrays (P.to_dense (P.window p ~jlo:j ~jhi:m)) ) )
+
+let prop_views_bitwise seed =
+  let rng, _, _, g = random_setting seed in
+  List.iter
+    (fun chain ->
+      let p = ref (P.dense g) and ref_g = ref g in
+      List.iter
+        (fun kind ->
+          let op =
+            random_op rng ~k:(Linalg.Mat.rows !ref_g)
+              ~m:(Linalg.Mat.cols !ref_g) kind
+          in
+          p := apply_op !p op;
+          ref_g := copy_op !ref_g op)
+        chain;
+      check_int "view rows" (Linalg.Mat.rows !ref_g) (P.rows !p);
+      check_int "view cols" (Linalg.Mat.cols !ref_g) (P.cols !p);
+      let kseed = Randkit.Prng.int rng 1_000_000 in
+      let outs which =
+        with_pools (fun pool ->
+            kernel_outputs (Randkit.Prng.create kseed) pool which)
+      in
+      let on_view = outs !p and on_copy = outs (P.dense !ref_g) in
+      all_equal "view kernel bits across domains" on_view;
+      List.iter2
+        (fun v c ->
+          check_bool "view kernels == kernels on the row copy" true (v = c))
+        on_view on_copy)
+    view_chains;
+  true
+
+(* Views and row copies reject the same out-of-range requests with the
+   same messages. *)
+let test_view_errors () =
+  let rng = rng () in
+  let g = Randkit.Gaussian.matrix rng 10 7 in
+  let idx = [| 7; 2; 2; 9 |] in
+  let view = P.select_rows (P.dense g) idx in
+  let copy = P.dense (Linalg.Mat.select_rows g idx) in
+  let error f =
+    match f () with _ -> None | exception Invalid_argument m -> Some m
+  in
+  List.iter
+    (fun (what, f) ->
+      let e = error (fun () -> f view) in
+      check_bool (what ^ ": raises") true (e <> None);
+      check_bool (what ^ ": same message") true (e = error (fun () -> f copy)))
+    [
+      ("select_rows past the end", fun p -> ignore (P.select_rows p [| 0; 4 |]));
+      ("select_rows negative", fun p -> ignore (P.select_rows p [| -1 |]));
+      ("window past the end", fun p -> ignore (P.window p ~jlo:3 ~jhi:8));
+      ("empty window", fun p -> ignore (P.window p ~jlo:2 ~jhi:2));
+      ("column out of bounds", fun p -> ignore (P.column p 7));
+      ("col_dot length", fun p -> ignore (P.col_dot p 0 (Array.make 10 1.)));
+      ("col_col_dot column", fun p -> ignore (P.col_col_dot p 0 (-1)));
+      ("with_tile block", fun p -> P.with_tile p ~jlo:0 ~jhi:8 ignore);
+      ("gram_tr length", fun p -> ignore (P.gram_tr p (Array.make 10 1.)));
+      ( "multi rows out of range",
+        fun p ->
+          ignore (P.gram_tr_multi p ~rows:[| [| 0; 4 |] |] [| [| 1.; 1. |] |])
+      );
+    ];
+  (* The Mat-level message a dense row copy has always raised. *)
+  check_bool "select_rows message" true
+    (error (fun () -> P.select_rows view [| 4 |])
+    = Some "Mat.select_rows: row out of bounds")
+
+(* The compiled-term builder equals the term-by-term evaluator row by
+   row, bit for bit, for every kind of term (Const, Single, Pair, Many)
+   and for a dim-0 basis, at every domain count. *)
+let test_matrix_rows_matches_eval_point () =
+  let rng = rng () in
+  List.iter
+    (fun (name, basis) ->
+      let dim = Polybasis.Basis.dim basis in
+      let pts = Array.init 23 (fun _ -> Randkit.Gaussian.vector rng dim) in
+      let expected = Array.map (Polybasis.Basis.eval_point basis) pts in
+      List.iter
+        (fun got ->
+          check_bool (name ^ ": matrix_rows == eval_point per row") true
+            (Linalg.Mat.to_arrays got = expected))
+        (with_pools (fun pool -> Polybasis.Design.matrix_rows ~pool basis pts)))
+    [
+      ("linear", Polybasis.Basis.constant_linear 5);
+      ("quadratic", Polybasis.Basis.quadratic 6);
+      ("cubic", Polybasis.Basis.total_degree 4 3);
+      ( "dim 0",
+        Polybasis.Basis.create 0
+          [| Polybasis.Term.constant; Polybasis.Term.constant |] );
+    ]
+
 (* --- small deterministic cases -------------------------------------- *)
 
 let test_residual_cols_matches_subset () =
@@ -301,6 +467,9 @@ let suite =
       case "with_tile matches columns" test_with_tile_matches_columns;
       case "dim-0 constant basis" test_dim_zero_constant_basis;
       case "validation errors" test_validation;
+      case "dense views: same errors as row copies" test_view_errors;
+      case "matrix_rows == eval_point per row"
+        test_matrix_rows_matches_eval_point;
       qtest ~count:12 "to_dense: streamed == matrix_rows" seed_gen
         prop_to_dense_bitwise;
       qtest ~count:12 "columns: streamed == dense" seed_gen
@@ -318,4 +487,6 @@ let suite =
         prop_cv_dense_eq_streamed;
       qtest ~count:10 "select_rows: streamed == dense" seed_gen
         prop_select_rows_bitwise;
+      qtest ~count:12 "dense views == kernels on row copies" seed_gen
+        prop_views_bitwise;
     ] )
