@@ -176,11 +176,29 @@ let run ~quick ~domains () =
           done
         done)
   in
+  (* The serving kernel: the same counter draws, one [fill_at] call per
+     point. *)
+  let all = Array.init n Fun.id in
+  let fill_norm_s =
+    median_of ~reps (fun () ->
+        let key = Randkit.Counter.create 91 in
+        for p = 0 to fills - 1 do
+          Randkit.Ziggurat.fill_at (Randkit.Counter.at key p) ~coords:all buf
+        done)
+  in
+  let last = Randkit.Counter.at (Randkit.Counter.create 91) (fills - 1) in
+  check "fill_at == normal_at per coordinate (bitwise)"
+    (Array.for_all
+       (fun c ->
+         Int64.bits_of_float buf.(c)
+         = Int64.bits_of_float (Randkit.Ziggurat.normal_at last ~coord:c))
+       all);
   let nrate s = float_of_int (fills * n) /. s in
   Printf.printf
     "normals/s            polar %10.3g   ziggurat %10.3g   counter-ziggurat \
-     %10.3g\n%!"
-    (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s);
+     %10.3g   counter fill kernel %10.3g\n%!"
+    (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s)
+    (nrate fill_norm_s);
   let ysamples = if quick then 50_000 else 200_000 in
   let timed_estimate ~sampler ~project =
     let t0 = Unix.gettimeofday () in
@@ -253,11 +271,13 @@ let run ~quick ~domains () =
     Buffer.add_string b
       (Printf.sprintf
          "], \"sampling\": {\"normals_per_s\": {\"polar\": %.0f, \
-          \"ziggurat\": %.0f, \"ziggurat_counter\": %.0f}, \"yield\": \
+          \"ziggurat\": %.0f, \"ziggurat_counter\": %.0f, \
+          \"ziggurat_counter_fill\": %.0f}, \"yield\": \
           {\"samples\": %d, \"polar_full_evals_s\": %.0f, \
           \"ziggurat_full_evals_s\": %.0f, \"ziggurat_projected_evals_s\": \
           %.0f, \"projected_speedup_vs_polar\": %.2f, \"coords_drawn\": %d}}"
-         (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s) ysamples
+         (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s)
+         (nrate fill_norm_s) ysamples
          (yrate t_polar) (yrate t_zfull) (yrate t_zproj) (t_polar /. t_zproj)
          (Serve.Eval.vars_touched tape));
     Buffer.add_string b

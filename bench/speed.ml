@@ -366,7 +366,7 @@ let sweep_scenario ~quick ~domains () =
        per-step selection sweep = delta update (O(p·M)) + argmax read
        (O(M)) against the exact argmax sweep (O(K·M) with streamed
        column generation). *)
-    let inc = Rsm.Corr_sweep.Inc.create ~pool ~refresh:0 src res in
+    let inc = Rsm.Corr_sweep.Inc.create ~pool src res in
     Array.iter
       (fun j ->
         Rsm.Corr_sweep.Inc.ensure_gram inc j

@@ -27,24 +27,13 @@ module Inc = struct
   type t = {
     src : Provider.t;
     pool : Parallel.Pool.t option;
-    refresh_every : int;
     c : Linalg.Vec.t;
     (* j ↦ v_j = Gᵀ·g_j, built once when column j enters the active set. *)
     grams : (int, Linalg.Vec.t) Hashtbl.t;
-    mutable since : int;
   }
 
-  let create ?pool ~refresh src r =
-    if refresh < 0 then
-      invalid_arg "Corr_sweep.Inc.create: negative refresh cadence";
-    {
-      src;
-      pool;
-      refresh_every = refresh;
-      c = Provider.gram_tr ?pool src r;
-      grams = Hashtbl.create 32;
-      since = 0;
-    }
+  let create ?pool src r =
+    { src; pool; c = Provider.gram_tr ?pool src r; grams = Hashtbl.create 32 }
 
   let correlations t = t.c
   let cached t = Hashtbl.length t.grams
@@ -126,13 +115,9 @@ module Inc = struct
             (Array.unsafe_get c jj -. (gamma *. Array.unsafe_get a jj))
         done)
 
-  let note_step t = t.since <- t.since + 1
-  let due t = t.refresh_every > 0 && t.since >= t.refresh_every
-
   let refresh t r =
     let fresh = Provider.gram_tr ?pool:t.pool t.src r in
-    Array.blit fresh 0 t.c 0 (Array.length t.c);
-    t.since <- 0
+    Array.blit fresh 0 t.c 0 (Array.length t.c)
 
   (* Sequential O(M) scan of the maintained vector — same strict [>] /
      lowest-index-on-tie rule as the provider's argmax. *)

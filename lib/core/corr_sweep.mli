@@ -118,14 +118,10 @@ module Inc : sig
   type t
 
   val create :
-    ?pool:Parallel.Pool.t ->
-    refresh:int ->
-    Polybasis.Design.Provider.t ->
-    Linalg.Vec.t ->
-    t
-  (** [create ~refresh src r] performs one exact sweep of [r] and
-      starts the maintained state. [refresh = 0] disables cadence-based
-      refreshes. @raise Invalid_argument on negative [refresh]. *)
+    ?pool:Parallel.Pool.t -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> t
+  (** [create src r] performs one exact sweep of [r] and starts the
+      maintained state. The refresh cadence is kept by the caller
+      ({!Shard_sweep}), which calls {!refresh} when it falls due. *)
 
   val correlations : t -> Linalg.Vec.t
   (** The maintained [c] — a live buffer, mutated by the update calls;
@@ -153,20 +149,11 @@ module Inc : sig
   (** [retreat t γ a] applies [c ← c − γ·a] for a precomputed direction
       image [a] (e.g. the {!combination} result), O(M). *)
 
-  val note_step : t -> unit
-  (** Count one completed movement step toward this state's own refresh
-      cadence. The path solvers keep theirs in [Shard_sweep], whose
-      shards run [refresh = 0] and receive refreshes explicitly. *)
-
-  val due : t -> bool
-  (** Whether the cadence calls for an exact refresh now. *)
-
   val refresh : t -> Linalg.Vec.t -> unit
-  (** [refresh t r] replaces [c] by an exact sweep of [r] and resets
-      the cadence counter. The solvers' backend calls this on cadence
-      {e and} at every checkpoint emission, so a resumed run (which
-      starts from an exact sweep at the checkpoint) stays bitwise equal
-      to the uninterrupted run. *)
+  (** [refresh t r] replaces [c] by an exact sweep of [r]. The solvers'
+      backend calls this on cadence {e and} at every checkpoint
+      emission, so a resumed run (which starts from an exact sweep at
+      the checkpoint) stays bitwise equal to the uninterrupted run. *)
 
   val argmax_abs : skip:bool array -> t -> int * float
   (** Selection over the maintained vector — sequential O(M), same

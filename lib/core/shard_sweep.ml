@@ -57,9 +57,9 @@ let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
     match sweep with
     | Corr_sweep.Exact -> None
     | Corr_sweep.Incremental _ ->
-        (* refresh:0 — the parent owns the cadence and ships refresh
-           residuals explicitly (see [due]). *)
-        Some (Corr_sweep.Inc.create ?pool ~refresh:0 win r0)
+        (* The parent owns the cadence and ships refresh residuals
+           explicitly (see [due]). *)
+        Some (Corr_sweep.Inc.create ?pool win r0)
   in
   {
     shard;

@@ -18,6 +18,8 @@ let compile_terms b ~stride =
       | [| p; q |] -> Pair (off p, off q)
       | pairs -> Many (Array.map off pairs))
 
+let large_design_words = 1 lsl 23
+
 let matrix_rows ?pool b samples =
   let k = Array.length samples in
   let m = Basis.size b and n = Basis.dim b in
@@ -26,6 +28,14 @@ let matrix_rows ?pool b samples =
       if Array.length s <> n then
         invalid_arg "Design.matrix_rows: sample dimension mismatch")
     samples;
+  (* A paper-scale design (K = 500, M = 50 403: 200 MB) is the largest
+     block the program allocates. The major GC advances only with
+     allocation, and the serving loop that typically runs between two
+     fits allocates almost nothing, so the previous fit's dead matrix
+     could still be mapped while this one's pages are touched. Collecting
+     first keeps the peak at one matrix; float arrays are not scanned,
+     so this costs little next to the fill. *)
+  if k * m >= large_design_words then Gc.full_major ();
   (* No zero-fill: every entry is written below, and the row chunks are
      the first to touch their pages. *)
   let g = Mat.uninit k m in

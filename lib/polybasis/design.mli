@@ -24,7 +24,10 @@ val matrix : ?pool:Parallel.Pool.t -> Basis.t -> Linalg.Mat.t -> Linalg.Mat.t
 val matrix_rows :
   ?pool:Parallel.Pool.t -> Basis.t -> Linalg.Vec.t array -> Linalg.Mat.t
 (** Same, from an array of sample vectors; identical parallelism and
-    determinism guarantee as {!matrix}. *)
+    determinism guarantee as {!matrix}. A design of 2²³ entries (64 MB)
+    or more runs [Gc.full_major] first, so a previous fit's dead matrix
+    is returned before this one is touched and repeated fits in one
+    process peak at one matrix. *)
 
 val row : Basis.t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [row b dy] is one design row (alias of [Basis.eval_point]). *)

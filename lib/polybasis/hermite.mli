@@ -19,9 +19,10 @@ val eval_all : int -> float -> float array
 val eval_all_into : float array -> pos:int -> deg:int -> float -> unit
 (** [eval_all_into out ~pos ~deg y] writes [g_0(y) … g_deg(y)] into
     [out.(pos) … out.(pos + deg)] by the same recurrence as {!eval_all}
-    — the shared primitive behind {!Basis.fill_tables} and the compiled
-    evaluator tapes of [Serve.Eval], which pack the per-variable tables
-    of several variables into one flat buffer. Values are bitwise equal
+    — the shared primitive behind {!Basis.fill_tables} and the design
+    builders, which pack the per-variable tables of several variables
+    into one flat buffer. The compiled evaluator tapes of [Serve.Eval]
+    run the same recurrence in their own loop. Values are bitwise equal
     to {!eval} at every degree.
     @raise Invalid_argument for negative [deg]. *)
 

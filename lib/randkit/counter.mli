@@ -47,10 +47,12 @@ val of_prng : Prng.t -> t
 val key : t -> int64
 (** The raw 64-bit key (for logging/reproducing a run). *)
 
-type point
+type point = private int64
 (** A per-point key: the stream key with the point index mixed in, one
     finalizer round already applied. Hoist it with {!at} once per
-    point, then address coordinates. *)
+    point, then address coordinates. The representation is visible so
+    that a sampler kernel can run the {!bits64} mix on it in its own
+    loop (see {!coord_stride}). *)
 
 val at : t -> int -> point
 (** [at t point_index] is the per-point key of Monte-Carlo point
@@ -63,3 +65,15 @@ val bits64 : point -> coord:int -> draw:int -> int64
 val float : point -> coord:int -> draw:int -> float
 (** Top 53 bits of {!bits64} as a float in [0, 1) (same resolution as
     [Prng.float]). *)
+
+val coord_stride : int64
+(** The coordinate stride of {!bits64}: [bits64 pk ~coord ~draw] is the
+    SplitMix64 output finalizer applied to
+    [pk + coord·coord_stride + draw·draw_stride] (wrapping 64-bit
+    arithmetic). Exposed for samplers that inline the mix into their
+    own loop: a call to {!bits64} from another module is never inlined
+    when modules are compiled separately, and returns a boxed
+    [int64]. *)
+
+val draw_stride : int64
+(** The rejection-draw stride of {!bits64} (see {!coord_stride}). *)

@@ -39,32 +39,42 @@ let xtab, ytab =
   done;
   (x, y)
 
-let idx_of bits = Int64.to_int (Int64.logand bits 0xFFL)
-let neg_of bits = Int64.logand bits 0x100L <> 0L
-let u_of bits = Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.0p-53
+(* A word's fields. The 53-bit mantissa becomes a float through
+   [float_of_int], exact below 2⁵³ and so bitwise equal to
+   [Int64.to_float] (a C call). *)
+let[@inline] layer bits = Int64.to_int bits land 0xFF
+
+(* ±1 by the sign bit: a multiply instead of a branch on a coin flip
+   the predictor cannot learn. Every magnitude drawn is ≥ 0, so
+   x·(−1) has the bits of −x. *)
+let sign_of = [| 1.; -1. |]
+let[@inline] sign bits =
+  Array.unsafe_get sign_of ((Int64.to_int bits lsr 8) land 1)
+
+let[@inline] mantissa bits =
+  float_of_int (Int64.to_int (Int64.shift_right_logical bits 11))
+
+let[@inline] u_of bits = mantissa bits *. 0x1.0p-53
 
 (* (0, 1] so the tail's logs are finite. *)
-let upos_of bits =
-  (Int64.to_float (Int64.shift_right_logical bits 11) +. 1.) *. 0x1.0p-53
-
-let signed neg x = if neg then -.x else x
+let[@inline] upos_of bits = (mantissa bits +. 1.) *. 0x1.0p-53
 
 let rec sample g =
   let bits = Prng.bits64 g in
-  let i = idx_of bits in
+  let i = layer bits in
   let x = u_of bits *. xtab.(i) in
-  if x < xtab.(i + 1) then signed (neg_of bits) x
-  else if i = 0 then tail g (neg_of bits)
+  if x < xtab.(i + 1) then x *. sign bits
+  else if i = 0 then tail g (sign bits)
   else
     let y = ytab.(i) +. (Prng.float g *. (ytab.(i + 1) -. ytab.(i))) in
-    if y < pdf x then signed (neg_of bits) x else sample g
+    if y < pdf x then x *. sign bits else sample g
 
-and tail g neg =
+and tail g sgn =
   (* Exact tail past r: x ~ Exp(r) truncated by the Gaussian envelope
      (Marsaglia 1964). *)
   let x = -.log (upos_of (Prng.bits64 g)) *. inv_r in
   let y = -.log (upos_of (Prng.bits64 g)) in
-  if y +. y >= x *. x then signed neg (r +. x) else tail g neg
+  if y +. y >= x *. x then (r +. x) *. sgn else tail g sgn
 
 let fill g out =
   for i = 0 to Array.length out - 1 do
@@ -79,24 +89,73 @@ let vector g n =
 (* Counter-addressed variant: draw [j] of coordinate [coord] is the
    word at address (key, point, coord, j); rejections walk j upward, so
    every coordinate owns an unbounded substream and the accepted value
-   is a pure function of (key, point, coord). *)
-let rec sample_at pk ~coord j =
-  let bits = Counter.bits64 pk ~coord ~draw:j in
-  let i = idx_of bits in
-  let x = u_of bits *. xtab.(i) in
-  if x < xtab.(i + 1) then signed (neg_of bits) x
-  else if i = 0 then tail_at pk ~coord (j + 1) (neg_of bits)
+   is a pure function of (key, point, coord).
+
+   [word] is [Counter.bits64], inlined: a call into another module is
+   never inlined when modules are compiled separately (dune's dev
+   profile passes -opaque), so every such call returns a boxed int64.
+   Here the mix stays in registers. *)
+let[@inline] word pk coord draw =
+  let open Int64 in
+  let z =
+    add
+      (add pk (mul (of_int coord) Counter.coord_stride))
+      (mul (of_int draw) Counter.draw_stride)
+  in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+(* The first attempt's abscissa u·x_i; the fast path accepts it when it
+   lies below x_{i+1}. *)
+let[@inline] abscissa bits i = u_of bits *. Array.unsafe_get xtab i
+
+(* One whole attempt at draw [j]: the fast path, the wedge test, the
+   tail, and the restarts. The callers have already seen draw 0 miss the
+   fast path; recomputing its word costs less than passing a boxed
+   int64. The accepted value goes to [out.(dst)] rather than being
+   returned, so the fill kernel allocates nothing here either. *)
+let rec settle pk ~coord j out dst =
+  let bits = word pk coord j in
+  let i = layer bits in
+  let x = abscissa bits i in
+  if x < Array.unsafe_get xtab (i + 1) then out.(dst) <- x *. sign bits
+  else if i = 0 then tail_into pk ~coord (j + 1) (sign bits) out dst
   else
-    let u2 = Counter.float pk ~coord ~draw:(j + 1) in
+    let u2 = u_of (word pk coord (j + 1)) in
     let y = ytab.(i) +. (u2 *. (ytab.(i + 1) -. ytab.(i))) in
-    if y < pdf x then signed (neg_of bits) x else sample_at pk ~coord (j + 2)
+    if y < pdf x then out.(dst) <- x *. sign bits
+    else settle pk ~coord (j + 2) out dst
 
-and tail_at pk ~coord j neg =
-  let x = -.log (upos_of (Counter.bits64 pk ~coord ~draw:j)) *. inv_r in
-  let y = -.log (upos_of (Counter.bits64 pk ~coord ~draw:(j + 1))) in
-  if y +. y >= x *. x then signed neg (r +. x)
-  else tail_at pk ~coord (j + 2) neg
+and tail_into pk ~coord j sgn out dst =
+  let x = -.log (upos_of (word pk coord j)) *. inv_r in
+  let y = -.log (upos_of (word pk coord (j + 1))) in
+  if y +. y >= x *. x then out.(dst) <- (r +. x) *. sgn
+  else tail_into pk ~coord (j + 2) sgn out dst
 
-let normal_at pk ~coord = sample_at pk ~coord 0
+let normal_at pk ~coord =
+  let pk = (pk : Counter.point :> int64) in
+  let bits = word pk coord 0 in
+  let i = layer bits in
+  let x = abscissa bits i in
+  if x < Array.unsafe_get xtab (i + 1) then x *. sign bits
+  else begin
+    let out = [| 0. |] in
+    settle pk ~coord 0 out 0;
+    out.(0)
+  end
+
+(* The serving kernel: [normal_at] for a list of coordinates, with the
+   mix and the fast path in one loop and nothing boxed. *)
+let fill_at pk ~coords out =
+  let pk = (pk : Counter.point :> int64) in
+  for s = 0 to Array.length coords - 1 do
+    let c = Array.unsafe_get coords s in
+    let bits = word pk c 0 in
+    let i = layer bits in
+    let x = abscissa bits i in
+    if x < Array.unsafe_get xtab (i + 1) then out.(c) <- x *. sign bits
+    else settle pk ~coord:c 0 out c
+  done
 
 let tail_start = r

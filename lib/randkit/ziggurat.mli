@@ -21,7 +21,8 @@
       the coordinate's private [draw] substream. This is the
       random-access form used by support-projected streaming
       ({!Serve.Stream}): drawing a subset of coordinates reproduces the
-      full draw's bits on that subset. *)
+      full draw's bits on that subset. {!fill_at} is the same draw for
+      a list of coordinates at once: the serving kernel. *)
 
 val sample : Prng.t -> float
 (** One N(0, 1) draw from a sequential generator. *)
@@ -37,6 +38,14 @@ val normal_at : Counter.point -> coord:int -> float
 (** [normal_at pk ~coord] is the N(0, 1) value of coordinate [coord] at
     the point keyed by [pk] — a pure function of
     [(key, point, coord)]. *)
+
+val fill_at : Counter.point -> coords:int array -> float array -> unit
+(** [fill_at pk ~coords out] sets [out.(c)] to [normal_at pk ~coord:c]
+    for every [c] in [coords] — bitwise the same values — and leaves the
+    rest of [out] alone. The counter mix and the ziggurat's fast path
+    run inlined in one loop, and the rare wedge and tail draws write
+    into [out], so nothing is allocated per normal.
+    @raise Invalid_argument when a coordinate is outside [out]. *)
 
 val tail_start : float
 (** The base-strip boundary r ≈ 3.654: draws beyond it come from the

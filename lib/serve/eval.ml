@@ -8,12 +8,15 @@
    pre-resolved absolute offsets into that buffer.
 
    Bitwise contract: evaluation preserves exactly the arithmetic of
-   [Rsm.Model.predict_point] — the same Hermite recurrence
-   ([Hermite.eval_all_into], which [Term.eval] also runs one factor at a
+   [Rsm.Model.predict_point] — the same Hermite recurrence as
+   [Hermite.eval_all_into] (which [Term.eval] also runs one factor at a
    time), the same left-to-right factor product starting from 1.0, and
-   the same support-order accumulation starting from 0.0. The batch
-   kernel re-blocks the memory layout, never the per-point operation
-   sequence. *)
+   the same support-order accumulation starting from 0.0. The tape runs
+   that recurrence itself, with √k read from a table: a call into
+   [Polybasis] is never inlined when modules are compiled separately,
+   and [sqrt] is correctly rounded, so the table holds the very values
+   the recurrence computes. The batch kernel re-blocks the memory
+   layout, never the per-point operation sequence. *)
 
 type t = {
   basis_size : int;
@@ -25,6 +28,7 @@ type t = {
   coeffs : float array;  (* per term, support order *)
   term_start : int array;  (* nnz + 1 offsets into factor_ofs *)
   factor_ofs : int array;  (* absolute buffer offsets, term-factor order *)
+  sqrt_k : float array;  (* sqrt_k.(k) = √k, k = 0 … max slot degree *)
   scratch0 : float array;  (* internal scalar scratch: NOT thread-safe *)
 }
 
@@ -89,6 +93,10 @@ let compile model basis =
     coeffs = Array.copy model.Rsm.Model.coeffs;
     term_start;
     factor_ofs;
+    sqrt_k =
+      Array.init
+        (1 + Array.fold_left max 0 slot_deg)
+        (fun k -> sqrt (float_of_int k));
     scratch0 = Array.make buf_len 0.;
   }
 
@@ -99,7 +107,7 @@ let tape_length t = Array.length t.factor_ofs
 let vars_touched t = Array.length t.var_of_slot
 let touched_vars t = Array.copy t.var_of_slot
 
-let max_degree t = Array.fold_left max 0 t.slot_deg
+let max_degree t = Array.length t.sqrt_k - 1
 
 let make_scratch t = Array.make t.buf_len 0.
 
@@ -108,16 +116,33 @@ let check_point t dy =
     invalid_arg "Serve.Eval: point dimension disagrees with the basis"
 
 (* One Hermite recurrence per touched variable, to its max needed
-   degree; every term then reads shared values. *)
+   degree; every term then reads shared values. The recurrence is
+   [Hermite.eval_all_into]'s, step for step:
+   g_{k+1} = (y·g_k − √k·g_{k−1}) / √(k+1). *)
 let fill t scratch dy =
+  let sqrt_k = t.sqrt_k in
   for s = 0 to Array.length t.var_of_slot - 1 do
-    Polybasis.Hermite.eval_all_into scratch ~pos:t.slot_offset.(s)
-      ~deg:t.slot_deg.(s)
-      dy.(t.var_of_slot.(s))
+    let pos = Array.unsafe_get t.slot_offset s in
+    let deg = Array.unsafe_get t.slot_deg s in
+    let y = dy.(Array.unsafe_get t.var_of_slot s) in
+    Array.unsafe_set scratch pos 1.;
+    if deg >= 1 then Array.unsafe_set scratch (pos + 1) y;
+    let prev = ref 1. and cur = ref y in
+    for k = 1 to deg - 1 do
+      let next =
+        ((y *. !cur) -. (Array.unsafe_get sqrt_k k *. !prev))
+        /. Array.unsafe_get sqrt_k (k + 1)
+      in
+      Array.unsafe_set scratch (pos + k + 1) next;
+      prev := !cur;
+      cur := next
+    done
   done
 
 let eval_with t scratch dy =
   check_point t dy;
+  if Array.length scratch < t.buf_len then
+    invalid_arg "Serve.Eval.eval_with: scratch made for another tape";
   fill t scratch dy;
   let acc = ref 0. in
   for p = 0 to Array.length t.coeffs - 1 do
@@ -156,12 +181,12 @@ let eval_block t ~hbuf ~prod ~block ~points ~out ~lo ~n =
       let deg = Array.unsafe_get t.slot_deg s in
       if deg >= 1 then Array.unsafe_set hbuf (base + block) y;
       for k = 1 to deg - 1 do
-        let fk = float_of_int k in
         Array.unsafe_set hbuf
           (base + ((k + 1) * block))
           (((y *. Array.unsafe_get hbuf (base + (k * block)))
-           -. (sqrt fk *. Array.unsafe_get hbuf (base + ((k - 1) * block))))
-          /. sqrt (fk +. 1.))
+           -. (Array.unsafe_get t.sqrt_k k
+              *. Array.unsafe_get hbuf (base + ((k - 1) * block))))
+          /. Array.unsafe_get t.sqrt_k (k + 1))
       done
     done
   done;

@@ -30,8 +30,11 @@
     Compiled evaluation is {b bitwise equal} to
     [Rsm.Model.predict_point] for every model, basis and point: the tape
     preserves the support order, the factor order within each term, and
-    the Hermite recurrence arithmetic exactly ({!Polybasis.Hermite.eval_all_into}
-    is the same recurrence [predict_point] runs through [Term.eval]).
+    the Hermite recurrence arithmetic exactly (the tape runs the
+    recurrence of {!Polybasis.Hermite.eval_all_into}, which
+    [predict_point] runs through [Term.eval], with √k from a table
+    built at {!compile}; [sqrt] is correctly rounded, so the table holds
+    the same values).
     {!eval_batch} assigns disjoint output indices to pool chunks, so it
     is bitwise identical to the sequential loop at every domain count.
     See SERVING.md for the full contract. *)
@@ -88,7 +91,8 @@ val eval_with : t -> scratch -> Linalg.Vec.t -> float
 (** [eval_with t s dy] evaluates the model at [dy] through the tape,
     using [s] as working memory — bitwise equal to
     [Rsm.Model.predict_point model basis dy].
-    @raise Invalid_argument when [dy] has length ≠ {!dim}. *)
+    @raise Invalid_argument when [dy] has length ≠ {!dim}, or when [s]
+    was made for a tape with a smaller value buffer. *)
 
 val eval_point : t -> Linalg.Vec.t -> float
 (** {!eval_with} on the tape's internal scratch. Convenient and

@@ -39,36 +39,28 @@ let resolve_project ~sampler ~project ~name =
         (name ^ ": ~project:true requires the ziggurat (counter) sampler")
 
 (* How a batch body fills the point buffer. [Seq] consumes the batch's
-   child generator in order; [Ctr] addresses each coordinate of global
-   point [lo + s] directly, optionally restricted to the tape's
-   touched variables (the untouched entries of [dy] stay 0 and are
-   never read by the tape). *)
-type filler =
-  | Seq
-  | Ctr of Randkit.Counter.t * int array option
+   child generator in order; [Ctr] addresses coordinates [coords] of
+   global point [lo + s] directly through the fill kernel: every
+   coordinate for the full draw, the tape's touched variables when
+   projected (the untouched entries of [dy] stay 0 and are never read
+   by the tape). *)
+type filler = Seq | Ctr of Randkit.Counter.t * int array
 
 let filler_of ~sampler ~project t rng =
   match (sampler : Randkit.Gaussian.sampler) with
   | Polar -> Seq
   | Ziggurat ->
       let key = Randkit.Counter.of_prng rng in
-      Ctr (key, if project then Some (Eval.touched_vars t) else None)
+      let coords =
+        if project then Eval.touched_vars t else Array.init (Eval.dim t) Fun.id
+      in
+      Ctr (key, coords)
 
 let draw_point filler brng dy ~point =
   match filler with
   | Seq -> Randkit.Gaussian.fill brng dy
-  | Ctr (key, proj) -> (
-      let pk = Randkit.Counter.at key point in
-      match proj with
-      | Some vars ->
-          for s = 0 to Array.length vars - 1 do
-            let c = Array.unsafe_get vars s in
-            dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-          done
-      | None ->
-          for c = 0 to Array.length dy - 1 do
-            dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-          done)
+  | Ctr (key, coords) ->
+      Randkit.Ziggurat.fill_at (Randkit.Counter.at key point) ~coords dy
 
 (* Run [body b rng scratch dy ~lo ~n] for every batch [b] over the pool
    (or sequentially without one). [lo] is the batch's global sample
@@ -122,6 +114,8 @@ let estimate ?pool ?(batch = default_batch)
   let pass_of = Array.make nbatches0 0 in
   let sum_of = Array.make nbatches0 0. in
   let sumsq_of = Array.make nbatches0 0. in
+  (* [Rsm.Yield.passes], inlined: the call would box every value. *)
+  let { Rsm.Yield.lower; upper } = spec in
   let nbatches =
     over_batches ?pool ~batch ~samples t rng (fun b brng scratch dy ~lo ~n ->
         let pass = ref 0 in
@@ -130,7 +124,7 @@ let estimate ?pool ?(batch = default_batch)
         for s = 0 to n - 1 do
           draw_point filler brng dy ~point:(lo + s);
           let v = Eval.eval_with t scratch dy in
-          if Rsm.Yield.passes spec v then incr pass;
+          if v >= lower && v <= upper then incr pass;
           sum := !sum +. v;
           sumsq := !sumsq +. (v *. v)
         done;

@@ -20,7 +20,8 @@
       caller's generator ({!Randkit.Counter.of_prng}); every coordinate
       of every point is then a pure function of
       [(key, global point index, coordinate)]
-      ({!Randkit.Ziggurat.normal_at}).
+      ({!Randkit.Ziggurat.normal_at}), drawn a point at a time by the
+      allocation-free kernel {!Randkit.Ziggurat.fill_at}.
 
     [?project] (counter sampler only; default on with it) draws only
     the coordinates the tape actually reads ({!Eval.touched_vars})

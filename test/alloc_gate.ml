@@ -1,10 +1,12 @@
-(* Allocation gates for the dense design provider, as deterministic
-   word counters rather than timings. CV folds and held-out sets are
-   row-mapped views of one design matrix, so taking a fold costs
-   O(|rows|) words and a whole cross-validated OMP fit allocates less
-   than one more copy of the K×M matrix. The builder writes entries
-   without boxing them. Everything runs on a one-domain pool, so every
-   word is allocated — and counted — on this domain. *)
+(* Allocation gates for the dense design provider and the serving
+   loop, as deterministic word counters rather than timings. CV folds
+   and held-out sets are row-mapped views of one design matrix, so
+   taking a fold costs O(|rows|) words and a whole cross-validated OMP
+   fit allocates less than one more copy of the K×M matrix. The builder
+   writes entries without boxing them. A streamed yield estimate draws
+   and evaluates its points without boxing a normal or a Hermite value.
+   Everything runs on a one-domain pool, so every word is allocated —
+   and counted — on this domain. *)
 
 module P = Polybasis.Design.Provider
 
@@ -64,7 +66,27 @@ let () =
       in
       ignore (cv ());
       let _, w = words cv in
-      gate "4-fold Select.omp_p: less than one K·M matrix" ~words:w ~bound:km);
+      gate "4-fold Select.omp_p: less than one K·M matrix" ~words:w ~bound:km;
+      (* Serving: a model touching 316 variables, streamed through the
+         counter-mode sampler projected onto them. The words per sample
+         must stay far below one per normal drawn. *)
+      let vars = 316 and samples = 100_000 in
+      let lin = Polybasis.Basis.constant_linear vars in
+      let size = Polybasis.Basis.size lin in
+      let model =
+        Rsm.Model.make ~basis_size:size ~support:(Array.init size Fun.id)
+          ~coeffs:(Array.init size (fun j -> 1. /. float_of_int (j + 1)))
+      in
+      let tape = Serve.Eval.compile model lin in
+      let spec = Rsm.Yield.spec_both ~lower:(-1.) ~upper:1. in
+      let serve () =
+        Serve.Stream.estimate ~pool ~sampler:Randkit.Gaussian.Ziggurat
+          ~project:true ~samples tape (Randkit.Prng.create 5) spec
+      in
+      ignore (serve ());
+      let _, w = words serve in
+      gate "Stream.estimate: 10⁵ projected samples, 316 vars" ~words:w
+        ~bound:(float_of_int (samples * ((vars / 4) + 16))));
   if !failures > 0 then begin
     Printf.printf "%d allocation gate(s) failed\n" !failures;
     exit 1

@@ -83,6 +83,32 @@ let gof_check name xs =
   check_bool (name ^ ": std near 1") true
     (abs_float (Stat.Descriptive.std xs -. 1.) < 0.03)
 
+(* A test-side model of the ziggurat's first attempt, rebuilt from the
+   published 256-layer constants, used only to find addresses that
+   leave the fast path: draw 0 carries the layer (low 8 bits) and the
+   abscissa u·x_i; layer 0 past r goes to the tail, any other layer past
+   x_{i+1} to the wedge test, which either accepts that abscissa or
+   rejects it. *)
+let strip_x =
+  let r = Randkit.Ziggurat.tail_start and v = 4.92867323399707195e-3 in
+  let pdf x = exp (-0.5 *. x *. x) in
+  let x = Array.make 257 0. in
+  x.(0) <- v /. pdf r;
+  x.(1) <- r;
+  for i = 2 to 255 do
+    x.(i) <- sqrt (-2. *. log ((v /. x.(i - 1)) +. pdf x.(i - 1)))
+  done;
+  x
+
+let first_attempt pk ~coord =
+  let bits = Randkit.Counter.bits64 pk ~coord ~draw:0 in
+  let i = Int64.to_int (Int64.logand bits 0xFFL) in
+  let x = Randkit.Counter.float pk ~coord ~draw:0 *. strip_x.(i) in
+  if x < strip_x.(i + 1) then `Fast
+  else if i = 0 then `Tail
+  else if abs_float (Randkit.Ziggurat.normal_at pk ~coord) = x then `Wedge_accept
+  else `Wedge_reject
+
 let ziggurat_suite =
   [
     case "sequential sampler passes KS + moment GOF" (fun () ->
@@ -112,6 +138,35 @@ let ziggurat_suite =
         Randkit.Ziggurat.fill g1 out;
         let expected = Array.init 257 (fun _ -> Randkit.Ziggurat.sample g2) in
         check_bool "bitwise" true (out = expected));
+    case "normal_at golden bits: fast path, wedge and tail" (fun () ->
+        let key = Randkit.Counter.create 2026 in
+        let pin (p, c) expected =
+          let got = Randkit.Ziggurat.normal_at (Randkit.Counter.at key p) ~coord:c in
+          if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected))
+          then
+            Alcotest.failf "normal_at (point %d, coord %d) = %h, pinned %h" p c got
+              expected
+        in
+        pin (0, 0) (-0x1.ae6315f1bf2cdp-1);
+        pin (1, 7) (-0x1.00a68c690a661p-2);
+        pin (12345, 315) (-0x1.c5179738be313p-1);
+        pin (99999, 40) 0x1.a02ff97622385p+0;
+        (* The first points whose coordinate 3 leaves the fast path:
+           a wedge that accepts its draw-0 abscissa, a wedge that
+           rejects it and restarts at draw 2, and the tail. *)
+        let first kind =
+          let rec go p =
+            if first_attempt (Randkit.Counter.at key p) ~coord:3 = kind then p
+            else go (p + 1)
+          in
+          go 0
+        in
+        check_int "first wedge accept" 228 (first `Wedge_accept);
+        check_int "first wedge reject" 413 (first `Wedge_reject);
+        check_int "first tail" 1664 (first `Tail);
+        pin (228, 3) 0x1.495e9a9ec04f6p-3;
+        pin (413, 3) 0x1.646f3d0b9abe4p-5;
+        pin (1664, 3) (-0x1.ed96c4448deb4p+1));
     case "Gaussian.fill_with dispatches by sampler" (fun () ->
         let out_p = Array.make 64 0. and out_z = Array.make 64 0. in
         Randkit.Gaussian.fill_with Randkit.Gaussian.Polar
@@ -168,6 +223,112 @@ let reference_polar_estimate ~batch ~samples tape rng spec =
     sumsq := !sumsq +. !bsumsq
   done;
   (!pass, !sum, !sumsq)
+
+(* The counter-mode estimate written out with per-coordinate
+   [normal_at] draws, the per-batch partials folded in batch order: the
+   oracle for the fill kernel inside [Stream.estimate]. *)
+let reference_counter_estimate ~project ~batch ~samples tape seed spec =
+  let key = Randkit.Counter.of_prng (Randkit.Prng.create seed) in
+  let dim = Serve.Eval.dim tape in
+  let coords =
+    if project then Serve.Eval.touched_vars tape else Array.init dim Fun.id
+  in
+  let scratch = Serve.Eval.make_scratch tape in
+  let dy = Array.make dim 0. in
+  let pass = ref 0 and sum = ref 0. and sumsq = ref 0. in
+  let nbatches = (samples + batch - 1) / batch in
+  for b = 0 to nbatches - 1 do
+    let lo = b * batch in
+    let bpass = ref 0 and bsum = ref 0. and bsumsq = ref 0. in
+    for s = lo to min samples (lo + batch) - 1 do
+      let pk = Randkit.Counter.at key s in
+      Array.iter (fun c -> dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c) coords;
+      let v = Serve.Eval.eval_with tape scratch dy in
+      if Rsm.Yield.passes spec v then incr bpass;
+      bsum := !bsum +. v;
+      bsumsq := !bsumsq +. (v *. v)
+    done;
+    pass := !pass + !bpass;
+    sum := !sum +. !bsum;
+    sumsq := !sumsq +. !bsumsq
+  done;
+  let nf = float_of_int samples in
+  let mean = !sum /. nf in
+  ( !pass,
+    float_of_int !pass /. nf,
+    mean,
+    sqrt (Float.max ((!sumsq /. nf) -. (mean *. mean)) 0.) )
+
+let kernel_gen =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* point = int_range 0 100_000_000 in
+    let* coords = list_size (int_range 0 80) (int_range 0 399) in
+    let* nnz = int_range 1 24 in
+    let* batch = int_range 16 300 in
+    return (seed, point, Array.of_list coords, nnz, batch))
+
+let arbitrary_kernel =
+  QCheck.make kernel_gen ~print:(fun (seed, point, coords, nnz, batch) ->
+      Printf.sprintf "seed=%d point=%d coords=%d nnz=%d batch=%d" seed point
+        (Array.length coords) nnz batch)
+
+let kernel_suite =
+  [
+    qtest ~count:40 "fill_at == normal_at per coordinate (bitwise), in Stream at 1/2/4 domains"
+      arbitrary_kernel (fun (seed, point, coords, nnz, batch) ->
+        let bits a = Array.map Int64.bits_of_float a in
+        (* The kernel alone: 24 consecutive points, so wedge and tail
+           draws turn up; entries outside [coords] stay untouched. *)
+        let key = Randkit.Counter.create seed in
+        let kernel_ok =
+          List.for_all
+            (fun p ->
+              let pk = Randkit.Counter.at key p in
+              let out = Array.make 400 42. in
+              Randkit.Ziggurat.fill_at pk ~coords out;
+              let expected = Array.make 400 42. in
+              Array.iter
+                (fun c -> expected.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c)
+                coords;
+              bits out = bits expected)
+            (List.init 24 (fun i -> point + i))
+        in
+        (* Through the stream: a random support over a 40-dim quadratic
+           basis, projected and full draw, against the normal_at
+           oracle. *)
+        let basis = Polybasis.Basis.quadratic 40 in
+        let m = Polybasis.Basis.size basis in
+        let g = Randkit.Prng.create seed in
+        let support = Randkit.Sampling.subsample g (Array.init m Fun.id) nnz in
+        Array.sort compare support;
+        let coeffs = Array.map (fun _ -> Randkit.Gaussian.sample g) support in
+        let tape =
+          Serve.Eval.compile (Rsm.Model.make ~basis_size:m ~support ~coeffs) basis
+        in
+        let samples = 700 in
+        let stream_ok =
+          List.for_all
+            (fun project ->
+              let expected =
+                reference_counter_estimate ~project ~batch ~samples tape seed spec
+              in
+              List.for_all
+                (fun domains ->
+                  let e =
+                    Parallel.Pool.with_pool ~domains (fun pool ->
+                        Serve.Stream.estimate ~pool ~batch
+                          ~sampler:Randkit.Gaussian.Ziggurat ~project ~samples
+                          tape (Randkit.Prng.create seed) spec)
+                  in
+                  let pass, yield, mean, std = expected in
+                  e.Serve.Stream.pass = pass
+                  && bits [| e.yield; e.mean; e.std |] = bits [| yield; mean; std |])
+                [ 1; 2; 4 ])
+            [ true; false ]
+        in
+        kernel_ok && stream_ok);
+  ]
 
 let stream_suite =
   [
@@ -231,6 +392,30 @@ let stream_suite =
             check_bool "projected invariant" true (run domains true = base);
             check_bool "full == projected" true (run domains false = base))
           [ 1; 2; 4 ]);
+    case "ziggurat estimate golden bits, projected and full draw" (fun () ->
+        (* Pinned constants, so a change to the counter-mode stream
+           cannot move the projected and full-draw paths together
+           unnoticed. *)
+        let _, _, tape = fixture () in
+        let bits x = Int64.bits_of_float x in
+        List.iter
+          (fun project ->
+            let e =
+              Serve.Stream.estimate ~samples:20_000
+                ~sampler:Randkit.Gaussian.Ziggurat ~project tape
+                (Randkit.Prng.create 7) spec
+            in
+            let tag = if project then "projected" else "full draw" in
+            let pin name got expected =
+              if bits got <> bits expected then
+                Alcotest.failf "%s %s = %h, pinned %h" tag name got expected
+            in
+            check_int (tag ^ " pass") 7939 e.Serve.Stream.pass;
+            pin "yield" e.Serve.Stream.yield 0x1.967a0f9096bbap-2;
+            pin "std_error" e.Serve.Stream.std_error 0x1.c575e5606f7bp-9;
+            pin "mean" e.Serve.Stream.mean 0x1.15ea28373d452p-7;
+            pin "std" e.Serve.Stream.std 0x1.b35297070cacap+1)
+          [ true; false ]);
     case "values: projected == full (bitwise)" (fun () ->
         let _, _, tape = fixture () in
         let vals project =
@@ -317,4 +502,5 @@ let stream_suite =
                 Alcotest.fail "project without ziggurat must be Config error"));
   ]
 
-let suite = ("sampler", counter_suite @ ziggurat_suite @ stream_suite)
+let suite =
+  ("sampler", counter_suite @ ziggurat_suite @ kernel_suite @ stream_suite)

@@ -688,9 +688,7 @@ let test_inc_unit () =
   let src = P.dense g in
   let k = P.rows src in
   let r = Array.init k (fun i -> float_of_int (i + 1)) in
-  check_raises_invalid "negative refresh" (fun () ->
-      CS.Inc.create ~refresh:(-1) src r);
-  let inc = CS.Inc.create ~refresh:2 src r in
+  let inc = CS.Inc.create src r in
   check_bool "starts from an exact sweep" true
     (CS.Inc.correlations inc = CS.gram_tr src r);
   check_int "no cached grams yet" 0 (CS.Inc.cached inc);
@@ -700,12 +698,9 @@ let test_inc_unit () =
   check_int "one cached gram" 1 (CS.Inc.cached inc);
   CS.Inc.ensure_gram inc 0 (P.column src 0);
   check_int "ensure_gram is idempotent" 1 (CS.Inc.cached inc);
-  check_bool "not due before any step" false (CS.Inc.due inc);
-  CS.Inc.note_step inc;
-  CS.Inc.note_step inc;
-  check_bool "due after the cadence" true (CS.Inc.due inc);
   CS.Inc.refresh inc r;
-  check_bool "refresh resets the cadence" false (CS.Inc.due inc);
+  check_bool "refresh restores the exact sweep" true
+    (CS.Inc.correlations inc = CS.gram_tr src r);
   check_raises_invalid "skip length" (fun () ->
       CS.Inc.argmax_abs ~skip:[| false |] inc);
   let skip = Array.make (P.cols src) false in
