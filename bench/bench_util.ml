@@ -66,6 +66,18 @@ let peak_rss_mb () =
       in
       Fun.protect ~finally:(fun () -> close_in ic) scan
 
+(* Median-of-[reps] wall clock of [f ()]: the right summary when each
+   rep does identical work and a ratio of two of them is reported. *)
+let median_of ~reps f =
+  let ts =
+    Array.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort compare ts;
+  ts.(reps / 2)
+
 let secs x =
   if x >= 3600. then Printf.sprintf "%.1f h" (x /. 3600.)
   else if x >= 60. then Printf.sprintf "%.1f min" (x /. 60.)

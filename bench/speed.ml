@@ -298,19 +298,6 @@ let speedup ~quick ~domains () =
 
 (* --- gram-cached sweep engine scenario ----------------------------- *)
 
-(* Median-of-R wall clock for the per-step sweep kernels: a median is
-   the right summary when each rep does identical work and we report a
-   ratio of two of them. *)
-let median_of ~reps f =
-  let ts =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare ts;
-  ts.(reps / 2)
-
 let rel_gap a b =
   let scale = max (Float.abs a) (Float.abs b) in
   if scale = 0. then 0. else Float.abs (a -. b) /. scale
@@ -399,11 +386,11 @@ let sweep_scenario ~quick ~domains () =
       (Printf.sprintf "incremental vs exact correlations (%.2e rel)" !worst)
       (!worst <= 1e-10);
     let exact_sweep_s =
-      median_of ~reps (fun () ->
+      Bench_util.median_of ~reps (fun () ->
           ignore (Rsm.Corr_sweep.argmax_abs ~pool ~skip src res))
     in
     let inc_sweep_s =
-      median_of ~reps (fun () ->
+      Bench_util.median_of ~reps (fun () ->
           Rsm.Corr_sweep.Inc.apply_deltas inc deltas;
           ignore (Rsm.Corr_sweep.Inc.argmax_abs ~skip inc))
     in
@@ -442,8 +429,12 @@ let sweep_scenario ~quick ~domains () =
            in
            j = j' && v = v')
          picks ref_out);
-    let fold_sweep_s = median_of ~reps (fun () -> ignore (per_fold ())) in
-    let fused_sweep_s = median_of ~reps (fun () -> ignore (fused ())) in
+    let fold_sweep_s =
+      Bench_util.median_of ~reps (fun () -> ignore (per_fold ()))
+    in
+    let fused_sweep_s =
+      Bench_util.median_of ~reps (fun () -> ignore (fused ()))
+    in
     Parallel.Pool.shutdown pool;
     Printf.printf
       "domains=%d  exact %8.2f ms  incremental %8.2f ms  (%.1fx)\n\

@@ -135,8 +135,7 @@ let provider_of ?pool engine basis pts =
     Polybasis.Design.Provider.dense
       (Polybasis.Design.matrix_rows ?pool basis pts)
 
-let engine_name src =
-  if Polybasis.Design.Provider.is_streamed src then "matrix-free" else "dense"
+let engine_name streamed = if streamed then "matrix-free" else "dense"
 
 let samples =
   Arg.(value & opt int 1000 & info [ "samples" ] ~docv:"K"
@@ -375,30 +374,45 @@ let breaker_threshold_arg =
                the estimated burst, then probes half-open. 0 (default) \
                keeps the fixed retry policy.")
 
-let print_run_reports ?adaptive ?point run_report screen_report =
+(* The hygiene lines of a fit: delivery, adaptive retry, then each
+   output's response screen (prefixed by [label r]) and the factor
+   screen. *)
+let print_run_reports ?adaptive ?point ~label run_report screen_reports =
   Printf.printf "  hygiene       : %s\n"
     (Circuit.Simulator.report_summary run_report);
-  (match adaptive with
-  | Some r ->
+  Option.iter
+    (fun r ->
       Printf.printf
         "  hygiene       : adaptive retry: %d event(s), %d granted, %d \
          denied\n"
         (Array.length r.Robust.Retry.events)
-        r.Robust.Retry.retries_granted r.Robust.Retry.retries_denied
-  | None -> ());
-  (match (screen_report, (point : Robust.Screen.point_report option)) with
-  | None, None -> Printf.printf "  hygiene       : screen: off\n"
-  | sr, pt ->
-      (match sr with
-      | Some r ->
-          Printf.printf "  hygiene       : %s\n"
-            (Robust.Screen.report_summary r)
-      | None -> ());
-      (match pt with
-      | Some r ->
-          Printf.printf "  hygiene       : %s\n"
-            (Robust.Screen.point_report_summary r)
-      | None -> ()))
+        r.Robust.Retry.retries_granted r.Robust.Retry.retries_denied)
+    adaptive;
+  if Array.for_all Option.is_none screen_reports && point = None then
+    Printf.printf "  hygiene       : screen: off\n"
+  else begin
+    Array.iteri
+      (fun r ->
+        Option.iter (fun rep ->
+            Printf.printf "  hygiene       : %s%s\n" (label r)
+              (Robust.Screen.report_summary rep)))
+      screen_reports;
+    Option.iter
+      (fun r ->
+        Printf.printf "  hygiene       : %s\n"
+          (Robust.Screen.point_report_summary r))
+      point
+  end
+
+let print_shards ~shards ~shard_mode recovered =
+  if shards > 1 then
+    Printf.printf "  shard engine  : %d shards (%s mode)\n" shards
+      (Rsm.Shard_sweep.mode_to_string shard_mode);
+  if recovered > 0 then
+    Printf.printf
+      "  shard recovery: %d worker respawn(s), log replayed, results \
+       bitwise unchanged\n"
+      recovered
 
 let print_model_notes model =
   Array.iter
@@ -411,6 +425,40 @@ let save_model_maybe save_model model =
   | Some path ->
       Rsm.Serialize.save path model;
       Printf.printf "  model saved   : %s\n" path
+
+(* The pipeline configuration every fit runs under, from the flags. The
+   survival floor is half the requested samples (at least 8), so it
+   binds before the quorum only below --quorum 0.5. *)
+let pipeline_config ~meth ~folds ~max_lambda ~samples ~screen
+    ~screen_threshold ~screen_space ~faults ~retry ~adaptive ~quorum
+    ~streamed ~checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen =
+  match
+    Robust.Pipeline.config ~method_:meth ~folds ~max_lambda ~samples ~screen
+      ~screen_threshold ~screen_space ~faults ~retry ?adaptive ~quorum
+      ~min_samples:(min samples (max 8 (samples / 2)))
+      ~streamed ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ()
+  with
+  | Ok cfg -> cfg
+  | Error e -> err_exit (Robust.Error.to_string e)
+
+(* The report tail of a single-output fit: a fresh test set drawn after
+   the fit, the testing error, the model's size and notes, the fitting
+   cost (then [sim_cost], when given) and the optional save. *)
+let report_fit ~pool ~engine ~basis ~test ~save_model ~sim_cost w rng model
+    fit_s =
+  let test_data = Circuit.Simulator.run ~pool w.sim rng ~k:test in
+  let src_te =
+    provider_of ~pool engine basis test_data.Circuit.Simulator.points
+  in
+  Printf.printf "  testing error : %.2f%% (on %d fresh samples)\n"
+    (100.
+    *. Rsm.Model.error_on_p model src_te test_data.Circuit.Simulator.values)
+    test;
+  Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
+  print_model_notes model;
+  Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
+  Option.iter print_endline sim_cost;
+  save_model_maybe save_model model
 
 (* Multi-output fit: R opamp metrics over one simulation batch, one
    hygiene verdict, one design matrix and (by default) one fused
@@ -461,16 +509,11 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
           omp/lar/star, the point of the paper)"
          m_cols m_cols samples);
   let cfg =
-    match
-      Robust.Pipeline.config ~method_:meth ~folds:folds_n ~max_lambda ~samples
-        ~screen:(not no_screen) ~screen_threshold ~screen_space ~faults ~retry
-        ?adaptive ~quorum
-        ~min_samples:(min samples (max 8 (samples / 2)))
-        ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-        ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ()
-    with
-    | Ok cfg -> cfg
-    | Error e -> err_exit (Robust.Error.to_string e)
+    pipeline_config ~meth ~folds:folds_n ~max_lambda ~samples
+      ~screen:(not no_screen) ~screen_threshold ~screen_space ~faults ~retry
+      ~adaptive ~quorum
+      ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
+      ~checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen
   in
   let recovered = ref 0 in
   match
@@ -486,7 +529,7 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
         (Circuit.Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
         m_cols outputs;
       Printf.printf "  design engine : %s\n"
-        (if cfg.Robust.Pipeline.streamed then "matrix-free" else "dense");
+        (engine_name cfg.Robust.Pipeline.streamed);
       Printf.printf "  sweep engine  : %s, %s\n"
         (Rsm.Corr_sweep.sweep_to_string sweep)
         (if
@@ -494,42 +537,16 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
              ~outputs
          then "fused outputs"
          else "per-output");
-      if shards > 1 then
-        Printf.printf "  shard engine  : %d shards (%s mode)\n" shards
-          (Rsm.Shard_sweep.mode_to_string shard_mode);
-      if !recovered > 0 then
-        Printf.printf
-          "  shard recovery: %d worker respawn(s), log replayed, results \
-           bitwise unchanged\n"
-          !recovered;
+      print_shards ~shards ~shard_mode !recovered;
       (match checkpoint with
       | Some base ->
           Printf.printf "  checkpoint    : %s.out<r>.fold<q> (per-fold CV%s)\n"
             base
             (if resume then ", resumed" else "")
       | None -> ());
-      Printf.printf "  hygiene       : %s\n"
-        (Circuit.Simulator.report_summary o.Robust.Pipeline.m_run_report);
-      let any_screen =
-        Array.exists Option.is_some o.Robust.Pipeline.screen_reports
-        || o.Robust.Pipeline.m_point_report <> None
-      in
-      if not any_screen then Printf.printf "  hygiene       : screen: off\n"
-      else begin
-        Array.iteri
-          (fun r rep ->
-            match rep with
-            | Some rep ->
-                Printf.printf "  hygiene       : %s %s\n" names.(r)
-                  (Robust.Screen.report_summary rep)
-            | None -> ())
-          o.Robust.Pipeline.screen_reports;
-        match o.Robust.Pipeline.m_point_report with
-        | Some rep ->
-            Printf.printf "  hygiene       : %s\n"
-              (Robust.Screen.point_report_summary rep)
-        | None -> ()
-      end;
+      print_run_reports ?point:o.Robust.Pipeline.m_point_report
+        ~label:(fun r -> names.(r) ^ " ")
+        o.Robust.Pipeline.m_run_report o.Robust.Pipeline.screen_reports;
       (* One fresh point set tests every metric — the same sharing the
          training batch used. *)
       let test_pts =
@@ -655,87 +672,64 @@ let model_cmd =
                    "LS needs at least %d samples for %d coefficients; got %d \
                     (use omp/lar/star, the point of the paper)"
                    m_cols m_cols samples);
-            match checkpoint with
-            | Some ckpt_file when folds = None -> (
-                (* Fixed-λ checkpointed fit: simulate robustly, screen,
-                   then run the solver with periodic state saves. (An
-                   explicit --folds routes a checkpointed run through
-                   the per-fold CV branch below instead.) *)
-                (match meth with
-                | Rsm.Solver.Omp | Rsm.Solver.Star | Rsm.Solver.Lar
-                | Rsm.Solver.Lasso ->
-                    ()
-                | _ ->
-                    err_exit
-                      "--checkpoint supports the omp, star, lar and lasso \
-                       methods only");
-                let data, run_report, adaptive_report =
-                  match adaptive with
-                  | None ->
-                      let d, r =
-                        Circuit.Simulator.run_robust ~pool ~faults ~retry
-                          w.sim rng ~k:samples
-                      in
-                      (d, r, None)
-                  | Some policy ->
-                      let d, r =
-                        Robust.Retry.run ~pool ~faults policy w.sim rng
-                          ~k:samples
-                      in
-                      (d, r.Robust.Retry.run, Some r)
-                in
-                let data, screen_report =
-                  if no_screen || screen_space = Robust.Pipeline.Factor then
-                    (data, None)
-                  else
-                    match
-                      Robust.Screen.screen ~threshold:screen_threshold data
-                    with
-                    | Ok (d, r) -> (d, Some r)
-                    | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let data, point_report =
-                  if no_screen || screen_space = Robust.Pipeline.Response then
-                    (data, None)
-                  else
-                    match Robust.Screen.mahalanobis data with
-                    | Ok (d, r) -> (d, Some r)
-                    | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let survived = Circuit.Simulator.dataset_size data in
-                let quorum_floor =
-                  int_of_float (Float.ceil (quorum *. float_of_int samples))
-                in
-                if survived < quorum_floor then
+            (* A checkpointed run without --folds is the fixed-λ fit
+               with periodic state saves; otherwise λ is
+               cross-validated (an explicit --folds with --checkpoint
+               writes per-fold checkpoint files). *)
+            let fixed_lambda = checkpoint <> None && folds = None in
+            if fixed_lambda then (
+              match meth with
+              | Rsm.Solver.Omp | Rsm.Solver.Star | Rsm.Solver.Lar
+              | Rsm.Solver.Lasso ->
+                  ()
+              | _ ->
                   err_exit
-                    (Printf.sprintf
-                       "quorum lost: only %d of %d requested samples survived \
-                        delivery and screening, below the %g%% quorum (%d); \
-                        raise --samples or --retries, or lower --quorum"
-                       survived samples (100. *. quorum) quorum_floor);
-                let src =
-                  provider_of ~pool engine basis data.Circuit.Simulator.points
+                    "--checkpoint supports the omp, star, lar and lasso \
+                     methods only");
+            let cfg =
+              pipeline_config ~meth ~folds:folds_n ~max_lambda ~samples
+                ~screen:(not no_screen) ~screen_threshold ~screen_space ~faults
+                ~retry ~adaptive ~quorum
+                ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
+                ~checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen
+            in
+            let report_fit =
+              report_fit ~pool ~engine ~basis ~test ~save_model w rng
+            in
+            let recovered = ref 0 in
+            match checkpoint with
+            | Some ckpt_file when fixed_lambda ->
+                let p =
+                  match
+                    Robust.Pipeline.prepare ~pool cfg [| w.sim |] basis rng
+                  with
+                  | Ok p -> p
+                  | Error e -> err_exit (Robust.Error.to_string e)
                 in
-                let f_tr = data.Circuit.Simulator.values in
+                let src = p.Robust.Pipeline.src in
+                let f_tr =
+                  p.Robust.Pipeline.datasets.(0).Circuit.Simulator.values
+                in
                 let lambda =
                   min max_lambda
                     (min (Polybasis.Design.Provider.rows src) m_cols)
                 in
-                let recovered = ref 0 in
+                let load_resume load =
+                  if not resume then None
+                  else
+                    match load ckpt_file with
+                    | Ok c -> Some c
+                    | Error e ->
+                        err_exit
+                          (Printf.sprintf "cannot load checkpoint %s: %s"
+                             ckpt_file e)
+                in
                 let model, fit_s =
                   Circuit.Testbench.timed (fun () ->
                       match meth with
                       | Rsm.Solver.Omp | Rsm.Solver.Star -> (
                           let resume_state =
-                            if not resume then None
-                            else
-                              match Rsm.Serialize.Checkpoint.load ckpt_file with
-                              | Ok c -> Some c
-                              | Error e ->
-                                  err_exit
-                                    (Printf.sprintf
-                                       "cannot load checkpoint %s: %s"
-                                       ckpt_file e)
+                            load_resume Rsm.Serialize.Checkpoint.load
                           in
                           let on_checkpoint c =
                             Rsm.Serialize.Checkpoint.save ckpt_file c
@@ -754,17 +748,7 @@ let model_cmd =
                       | _ ->
                           (* lar / lasso: the event-log LARS checkpoint. *)
                           let resume_state =
-                            if not resume then None
-                            else
-                              match
-                                Rsm.Serialize.Checkpoint.Lars.load ckpt_file
-                              with
-                              | Ok c -> Some c
-                              | Error e ->
-                                  err_exit
-                                    (Printf.sprintf
-                                       "cannot load checkpoint %s: %s"
-                                       ckpt_file e)
+                            load_resume Rsm.Serialize.Checkpoint.Lars.load
                           in
                           let mode =
                             if meth = Rsm.Solver.Lasso then Rsm.Lars.Lasso
@@ -778,90 +762,40 @@ let model_cmd =
                             ~recovered src f_tr ~lambda)
                 in
                 let model =
-                  if survived >= samples then model
-                  else
-                    Rsm.Model.add_note model
-                      (Robust.Pipeline.degraded_note ~requested:samples
-                         ~survived ~quorum run_report)
-                in
-                let test_data =
-                  Circuit.Simulator.run ~pool w.sim rng ~k:test
-                in
-                let src_te =
-                  provider_of ~pool engine basis
-                    test_data.Circuit.Simulator.points
+                  Array.fold_left Rsm.Model.add_note model
+                    p.Robust.Pipeline.notes
                 in
                 Printf.printf
                   "%s | %s | K = %d training samples, M = %d bases | fixed \
                    lambda = %d (checkpointed)\n"
                   w.name (Rsm.Solver.name meth) samples m_cols lambda;
-                Printf.printf "  design engine : %s\n" (engine_name src);
+                Printf.printf "  design engine : %s\n"
+                  (engine_name cfg.Robust.Pipeline.streamed);
                 Printf.printf "  sweep engine  : %s\n"
                   (Rsm.Corr_sweep.sweep_to_string sweep);
-                if shards > 1 then
-                  Printf.printf "  shard engine  : %d shards (%s mode)\n"
-                    shards
-                    (Rsm.Shard_sweep.mode_to_string shard_mode);
-                if !recovered > 0 then
-                  Printf.printf
-                    "  shard recovery: %d worker respawn(s), log replayed, \
-                     results bitwise unchanged\n"
-                    !recovered;
-                print_run_reports ?adaptive:adaptive_report ?point:point_report
-                  run_report screen_report;
+                print_shards ~shards ~shard_mode !recovered;
+                print_run_reports ?adaptive:p.Robust.Pipeline.adaptive_report
+                  ?point:p.Robust.Pipeline.point_report ~label:(fun _ -> "")
+                  p.Robust.Pipeline.run_report
+                  p.Robust.Pipeline.screen_reports;
                 Printf.printf "  checkpoint    : %s (every %d iterations%s)\n"
                   ckpt_file checkpoint_every
                   (if resume then ", resumed" else "");
-                Printf.printf "  testing error : %.2f%% (on %d fresh samples)\n"
-                  (100.
-                  *. Rsm.Model.error_on_p model src_te
-                       test_data.Circuit.Simulator.values)
-                  test;
-                Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
-                print_model_notes model;
-                Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
-                save_model_maybe save_model model)
+                report_fit ~sim_cost:None model fit_s
             | _ -> (
-                (* Cross-validated fit; with --checkpoint and an explicit
-                   --folds the sweep writes per-fold checkpoint files. *)
-                let cfg =
-                  match
-                    Robust.Pipeline.config ~method_:meth ~folds:folds_n
-                      ~max_lambda ~samples ~screen:(not no_screen)
-                      ~screen_threshold ~screen_space ~faults ~retry ?adaptive
-                      ~quorum
-                      ~min_samples:(min samples (max 8 (samples / 2)))
-                      ~streamed:
-                        (choose_streamed engine ~k:samples ~m:m_cols)
-                      ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen
-                      ()
-                  with
-                  | Ok cfg -> cfg
-                  | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let recovered = ref 0 in
                 match
                   Circuit.Testbench.timed (fun () ->
                       Robust.Pipeline.fit ~pool ~recovered cfg w.sim basis rng)
                 with
                 | Error e, _ -> err_exit (Robust.Error.to_string e)
                 | Ok o, fit_s ->
-                    let model = o.Robust.Pipeline.model in
-                    let test_data =
-                      Circuit.Simulator.run ~pool w.sim rng ~k:test
-                    in
-                    let src_te =
-                      provider_of ~pool engine basis
-                        test_data.Circuit.Simulator.points
-                    in
                     Printf.printf
                       "%s | %s | K = %d training samples, M = %d bases\n"
                       w.name (Rsm.Solver.name meth)
                       (Circuit.Simulator.dataset_size o.Robust.Pipeline.dataset)
                       m_cols;
                     Printf.printf "  design engine : %s\n"
-                      (if cfg.Robust.Pipeline.streamed then "matrix-free"
-                       else "dense");
+                      (engine_name cfg.Robust.Pipeline.streamed);
                     Printf.printf "  sweep engine  : %s, %s\n"
                       (Rsm.Corr_sweep.sweep_to_string sweep)
                       (if
@@ -869,15 +803,7 @@ let model_cmd =
                            ~streamed:cfg.Robust.Pipeline.streamed ~outputs:1
                        then "fused CV"
                        else "per-fold CV");
-                    if shards > 1 then
-                      Printf.printf "  shard engine  : %d shards (%s mode)\n"
-                        shards
-                        (Rsm.Shard_sweep.mode_to_string shard_mode);
-                    if !recovered > 0 then
-                      Printf.printf
-                        "  shard recovery: %d worker respawn(s), log \
-                         replayed, results bitwise unchanged\n"
-                        !recovered;
+                    print_shards ~shards ~shard_mode !recovered;
                     (match checkpoint with
                     | Some base ->
                         Printf.printf
@@ -887,25 +813,20 @@ let model_cmd =
                     print_run_reports
                       ?adaptive:o.Robust.Pipeline.adaptive_report
                       ?point:o.Robust.Pipeline.point_report
-                      o.Robust.Pipeline.run_report
-                      o.Robust.Pipeline.screen_report;
-                    Printf.printf
-                      "  testing error : %.2f%% (on %d fresh samples)\n"
-                      (100.
-                      *. Rsm.Model.error_on_p model src_te
-                           test_data.Circuit.Simulator.values)
-                      test;
-                    Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
-                    print_model_notes model;
-                    Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
-                    Printf.printf
-                      "  sim cost      : %.0f s (accounted at %.2f s/sample, \
-                       +%.0f s retry overhead)\n"
-                      (Circuit.Simulator.simulated_cost w.sim ~k:samples)
-                      w.sim.Circuit.Simulator.seconds_per_sample
-                      o.Robust.Pipeline.run_report
-                        .Circuit.Simulator.accounted_extra_seconds;
-                    save_model_maybe save_model model)))
+                      ~label:(fun _ -> "") o.Robust.Pipeline.run_report
+                      [| o.Robust.Pipeline.screen_report |];
+                    report_fit
+                      ~sim_cost:
+                        (Some
+                           (Printf.sprintf
+                              "  sim cost      : %.0f s (accounted at %.2f \
+                               s/sample, +%.0f s retry overhead)"
+                              (Circuit.Simulator.simulated_cost w.sim
+                                 ~k:samples)
+                              w.sim.Circuit.Simulator.seconds_per_sample
+                              o.Robust.Pipeline.run_report
+                                .Circuit.Simulator.accounted_extra_seconds))
+                      o.Robust.Pipeline.model fit_s)))
   in
   Cmd.v
     (Cmd.info "model"
@@ -1127,16 +1048,27 @@ let fit_for_use ~circuit ~metric ~cells ~parasitics ~seed ~samples ~max_lambda
     ~domains ~engine =
   match make_workload ~circuit ~metric ~cells ~parasitics with
   | Error e -> err_exit e
-  | Ok w ->
+  | Ok w -> (
       let pool = use_domains domains in
       let rng = Randkit.Prng.create seed in
       let basis = Polybasis.Basis.constant_linear w.dim in
-      let data = Circuit.Simulator.run ~pool w.sim rng ~k:samples in
-      let src = provider_of ~pool engine basis data.Circuit.Simulator.points in
-      let r =
-        Rsm.Select.omp_p ~pool rng ~max_lambda src data.Circuit.Simulator.values
+      (* Clean simulations, no screens: cross-validated OMP on every row. *)
+      let cfg =
+        pipeline_config ~meth:Rsm.Solver.Omp ~folds:4 ~max_lambda ~samples
+          ~screen:false ~screen_threshold:Robust.Screen.default_threshold
+          ~screen_space:Robust.Pipeline.Response
+          ~faults:Circuit.Simulator.no_faults
+          ~retry:(Circuit.Simulator.retry_policy ())
+          ~adaptive:None ~quorum:Robust.Pipeline.default_quorum
+          ~streamed:
+            (choose_streamed engine ~k:samples
+               ~m:(Polybasis.Basis.size basis))
+          ~checkpoint:None ~resume:false ~sweep:Rsm.Corr_sweep.Exact ~shards:1
+          ~shard_mode:Rsm.Shard_sweep.Domains ~rescreen:false
       in
-      (w, basis, r.Rsm.Select.model, rng)
+      match Robust.Pipeline.fit ~pool cfg w.sim basis rng with
+      | Ok o -> (w, basis, o.Robust.Pipeline.model, rng)
+      | Error e -> err_exit (Robust.Error.to_string e))
 
 let lower_arg =
   Arg.(value & opt float Float.neg_infinity
@@ -1170,9 +1102,15 @@ let yield_cmd =
       & opt int Serve.Stream.default_batch
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Streaming batch size (serving mode). Each batch draws from its \
-             own PRNG child stream, so for a fixed (seed, batch) the \
-             estimate is bitwise identical at every domain count.")
+            "Streaming batch size (serving mode). For a fixed (seed, batch) \
+             the estimate is bitwise identical at every domain count. Under \
+             --sampler polar each batch draws from its own PRNG child \
+             stream, so changing the batch size changes the draws. Under \
+             --sampler ziggurat every draw is addressed by (seed, point), so \
+             the yield, its standard error and the pass count do not depend \
+             on the batch size; only \
+             the reported mean and std may move in the last ulp, because \
+             their per-batch sums regroup.")
   in
   let sampler_arg =
     Arg.(

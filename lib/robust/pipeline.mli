@@ -2,14 +2,15 @@
     build the design, fit with numerical fallbacks — one call, one
     structured result.
 
-    The stages compose the hardening added across the codebase:
-    {!Circuit.Simulator.run_robust} retries detectable failures and
-    drops samples that never deliver, {!Screen.screen} removes
-    non-finite and outlier rows before any basis function is evaluated,
-    and the solver runs with [~on_singular:`Fallback] so a degenerate
-    active-set Gram matrix degrades through the {!Rsm.Refit} ladder
-    instead of aborting. Nothing in this module raises on the expected
-    failure paths — everything is an {!Error.t}. *)
+    Every fit gets its training rows from one data stage, {!prepare}:
+    {!Circuit.Simulator.run_robust_multi} (or {!Retry.run}) retries
+    detectable failures and drops samples that never deliver,
+    {!Screen.screen} removes non-finite and outlier rows before any
+    basis function is evaluated, and the solver runs with
+    [~on_singular:`Fallback] so a degenerate active-set Gram matrix
+    degrades through the {!Rsm.Refit} ladder instead of aborting.
+    Nothing in this module raises on the expected failure paths —
+    everything is an {!Error.t}. *)
 
 (** Which space the hygiene screens examine. [Response] is the MAD
     screen on simulated values ({!Screen.screen}); [Factor] is the
@@ -98,6 +99,64 @@ val config :
     [checkpoint], or [checkpoint] with a method that has no λ sweep
     (LS/StOMP/CoSaMP). *)
 
+(** {2 Data stage} *)
+
+type prepared = {
+  datasets : Circuit.Simulator.dataset array;
+      (** the surviving rows, one dataset per simulator, in order; the
+          point arrays are physically shared across outputs *)
+  run_report : Circuit.Simulator.run_report;
+      (** one delivery/retry account for the whole batch *)
+  screen_reports : Screen.report option array;
+      (** per-output response-screen reports (indices in delivered-row
+          space, {e before} the kept-set intersection); [None] entries
+          when the response screen did not run *)
+  point_report : Screen.point_report option;
+      (** the shared factor-space verdict; [None] when it did not run *)
+  adaptive_report : Retry.report option;
+      (** the adaptive driver's event log; [None] under the fixed
+          policy *)
+  notes : string array;
+      (** provenance notes every fitted model must carry: the single
+          ["degraded: ..."] line ({!degraded_note}) when fewer than
+          [config.samples] rows survived, else empty *)
+  src : Polybasis.Design.Provider.t;
+      (** the design over the surviving points: matrix-free when
+          [config.streamed], else materialized over the pool *)
+}
+
+val prepare :
+  ?pool:Parallel.Pool.t ->
+  config ->
+  Circuit.Simulator.t array ->
+  Polybasis.Basis.t ->
+  Randkit.Prng.t ->
+  (prepared, Error.t) result
+(** [prepare cfg sims basis rng] turns [config.samples] simulations into
+    the training rows every fit consumes — the one place that decides
+    how they are obtained:
+    + simulate: {!Circuit.Simulator.run_robust_multi} under the fixed
+      retry policy (every sample evaluated by every simulator, delivered
+      only when all outputs are finite), or {!Retry.run} when
+      [config.adaptive] is set (one simulator only);
+    + screen (when [config.screen]): each output's response screen
+      ({!Screen.screen}) on its own center and spread, the kept sets
+      intersected; then one factor screen ({!Screen.mahalanobis}) on
+      the shared points, per [config.screen_space];
+    + enforce [min_samples] and the quorum on the surviving row count
+      [n]: [n < min_samples] or [n < ceil(quorum·samples)] fails with
+      [Simulation _]; [n < samples] above both floors sets [notes] to the
+      degraded note;
+    + build the design provider.
+
+    The generator [rng] is advanced by the simulation stage only, so a
+    fit that continues from it (the CV fold plan, a test set) sees the
+    same stream whichever fit consumes the rows. Deterministic at every
+    domain count. Fails with [Invalid_input _] on an empty simulator
+    array, [Config _] for [config.adaptive] with more than one
+    simulator, and [Invalid_input _] / [Numerical _] / [Internal _] when
+    a stage raises. *)
+
 type outcome = {
   model : Rsm.Model.t;
       (** the fitted model; {!Rsm.Model.notes} records any numerical
@@ -123,8 +182,8 @@ val degraded_note :
     fit records in {!Rsm.Model.notes}: rows kept vs requested, split
     into delivery losses ([requested − run.delivered]) and screened rows
     ([run.delivered − survived]), plus burst windows and breaker trips
-    when present. Exported so the CLI's fixed-λ checkpoint path and the
-    CV pipeline stamp byte-identical notes. *)
+    when present. {!prepare} stamps it; exported so staged
+    decompositions of the pipeline can rebuild the same bytes. *)
 
 val screen_refit :
   ?threshold:float ->
@@ -159,22 +218,22 @@ val fit :
   Polybasis.Basis.t ->
   Randkit.Prng.t ->
   (outcome, Error.t) result
-(** Run the full pipeline. Deterministic for a fixed seed at every
-    domain count (the underlying stages all pre-split their PRNG
-    streams). [recovered] (with [config.shards > 1] in [Procs] mode)
-    accumulates worker-process crash recoveries across the fold fits
-    and the refit.
+(** Run the full pipeline: {!prepare} on [[| sim |]], then the
+    cross-validated fit ({!Rsm.Solver.fit_cv_p}) and, with
+    [config.rescreen], {!screen_refit}. Deterministic for a fixed seed
+    at every domain count (the underlying stages all pre-split their
+    PRNG streams). [recovered] (with [config.shards > 1] in [Procs]
+    mode) accumulates worker-process crash recoveries across the fold
+    fits and the refit.
 
-    Quorum semantics: with [n] rows surviving delivery and screening
-    out of [config.samples] requested, [n < min_samples] or
-    [n < ceil(quorum·samples)] fails with [Simulation _] (the typed
-    one-line diagnostic in the CLI); [n < samples] but at or above both
-    floors proceeds {e degraded}, recording a single-line
-    ["degraded: ..."] note — rows lost in delivery vs screening, burst
-    windows, breaker trips — in {!Rsm.Model.notes}, where it survives
-    serialization. A full-delivery fit carries no note. Fails with
-    [Invalid_input _] / [Numerical _] / [Internal _] when a stage
-    raises. *)
+    Quorum semantics are {!prepare}'s: a sub-floor survival fails with
+    [Simulation _] (the typed one-line diagnostic in the CLI); a
+    shortfall above both floors proceeds {e degraded}, recording the
+    single-line ["degraded: ..."] note — rows lost in delivery vs
+    screening, burst windows, breaker trips — in {!Rsm.Model.notes},
+    where it survives serialization. A full-delivery fit carries no
+    note. Fails with [Invalid_input _] / [Numerical _] / [Internal _]
+    when a stage raises. *)
 
 val outcome_summary : outcome -> string
 (** Multi-line human-readable account: delivery, hygiene, model size and
@@ -186,12 +245,10 @@ val outcome_summary : outcome -> string
     power and offset — share their Monte-Carlo points, their fault
     history, their hygiene verdicts and their design matrix; only the
     response vectors differ. {!fit_multi} runs the whole pipeline once
-    for all of them: one {!Circuit.Simulator.run_robust_multi} batch
-    (every sample evaluated by every simulator, delivered only when all
-    outputs are finite), one shared kept-row set (per-output response
-    screens intersected, one point screen), one design provider, and one
-    {!Rsm.Solver.fit_multi_p} call whose fused grid generates each
-    streamed column once per greedy step for every output and fold. *)
+    for all of them: one {!prepare} (one simulation batch, one shared
+    kept-row set, one design provider) and one {!Rsm.Solver.fit_multi_p}
+    call whose fused grid generates each streamed column once per
+    greedy step for every output and fold. *)
 
 type multi_outcome = {
   models : Rsm.Model.t array;  (** one fitted model per simulator, in order *)
@@ -216,11 +273,12 @@ val fit_multi :
   Polybasis.Basis.t ->
   Randkit.Prng.t ->
   (multi_outcome, Error.t) result
-(** Run the full pipeline for every simulator at once. The simulators
-    must agree on [dim]; [config.adaptive] must be [None] (the breaker
-    driver owns a single simulator's retry loop — requesting it here
-    fails with [Config _], as does an empty simulator array with
-    [Invalid_input _]).
+(** Run the full pipeline for every simulator at once: {!prepare},
+    then one {!Rsm.Solver.fit_multi_p} call and the optional rescreen.
+    The simulators must agree on [dim]; [config.adaptive] needs a
+    single simulator (the breaker driver owns one simulator's retry
+    loop — with more it fails with [Config _], as does an empty
+    simulator array with [Invalid_input _]).
 
     Quorum/degradation semantics are {!fit}'s, applied to the shared
     surviving row count; a degraded delivery stamps the same

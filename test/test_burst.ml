@@ -543,6 +543,352 @@ let test_burst_cv_resume_bitwise () =
       check_bool "burst-trained sweep resumes bitwise" true
         (fingerprint resumed = fingerprint full))
 
+(* --- golden pins -----------------------------------------------------
+
+   Absolute bits of [Pipeline.fit] and [fit_multi]: the model digest,
+   the delivery report and the screens' kept counts, under the stage
+   combinations the data stage must order exactly. The parity tests
+   compare domain and shard counts with each other, so a stage-order
+   slip that moves every run alike would pass them; these would not. *)
+
+let faults_10pct = Simulator.fault_plan ~rate:0.10 ~outlier_scale:500. ()
+
+let hex64 = Printf.sprintf "%016Lx"
+
+let kept_count = Option.map (fun r -> Array.length r.Robust.Screen.kept)
+let p_kept_count = Option.map (fun r -> Array.length r.Robust.Screen.p_kept)
+
+let pin_fit name cfg ~digest ~run ~kept ~p_kept ~note =
+  let sim, dim = small_sim () in
+  let basis = Polybasis.Basis.constant_linear dim in
+  match Robust.Pipeline.fit cfg sim basis (rng ()) with
+  | Error e -> Alcotest.failf "%s: %s" name (Robust.Error.to_string e)
+  | Ok o ->
+      Alcotest.(check string)
+        (name ^ ": model digest") digest
+        (hex64 (Rsm.Serialize.digest o.Robust.Pipeline.model));
+      Alcotest.(check string)
+        (name ^ ": run report") run
+        (Simulator.report_summary o.Robust.Pipeline.run_report);
+      Alcotest.(check (option int))
+        (name ^ ": response kept") kept
+        (kept_count o.Robust.Pipeline.screen_report);
+      Alcotest.(check (option int))
+        (name ^ ": factor kept") p_kept
+        (p_kept_count o.Robust.Pipeline.point_report);
+      check_bool (name ^ ": note") true
+        (Array.exists
+           (fun n -> contains n note)
+           (Rsm.Model.notes o.Robust.Pipeline.model))
+
+let config_exn = function
+  | Ok cfg -> cfg
+  | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
+
+let test_golden_fixed_retry () =
+  pin_fit "fixed retry"
+    (config_exn
+       (Robust.Pipeline.config ~samples:150 ~folds:3 ~max_lambda:6
+          ~faults:faults_10pct ~retry:(Simulator.retry_policy ())
+          ~min_samples:75 ()))
+    ~digest:"a085d64131189bed"
+    ~run:
+      "150/150 samples delivered; 15 faults injected (7 non-finite, 3 \
+       outliers, 5 transient, 0 hangs); 12 retries; 0 abandoned; 173.4 s of \
+       extra simulation accounted"
+    ~kept:(Some 147) ~p_kept:None
+    ~note:"degraded: kept 147 of 150 requested rows (0 lost in delivery, 3 \
+           screened)"
+
+let test_golden_adaptive_burst () =
+  pin_fit "adaptive burst"
+    (config_exn
+       (Robust.Pipeline.config ~method_:Rsm.Solver.Lar ~samples:150 ~folds:3
+          ~max_lambda:5 ~min_samples:10 ~quorum:0.3
+          ~screen_space:Robust.Pipeline.Both ~faults:burst_faults
+          ~adaptive:(Retry.policy ~breaker_threshold:4 ())
+          ()))
+    ~digest:"ff343533509c018a"
+    ~run:
+      "105/150 samples delivered; 89 faults injected (1 non-finite, 1 \
+       outliers, 64 transient, 23 hangs); 43 retries; 45 abandoned; 1386.1 s \
+       of extra simulation accounted; 3 burst window(s) covering 45 samples \
+       (84 faults); 4 breaker trip(s)"
+    ~kept:(Some 104) ~p_kept:(Some 104)
+    ~note:"degraded: kept 104 of 150 requested rows (45 lost in delivery, 1 \
+           screened) above quorum 30%; 3 burst window(s) over 45 sample(s); 4 \
+           breaker trip(s)"
+
+let test_golden_rescreen () =
+  pin_fit "rescreen"
+    (config_exn
+       (Robust.Pipeline.config ~samples:150 ~folds:3 ~max_lambda:6
+          ~faults:faults_10pct ~retry:(Simulator.retry_policy ())
+          ~min_samples:75 ~rescreen:true ~screen_threshold:3. ~streamed:true
+          ()))
+    ~digest:"0a961c5bbfe55675"
+    ~run:
+      "150/150 samples delivered; 15 faults injected (7 non-finite, 3 \
+       outliers, 5 transient, 0 hangs); 12 retries; 0 abandoned; 173.4 s of \
+       extra simulation accounted"
+    ~kept:(Some 147) ~p_kept:None
+    ~note:"rescreen: dropped 1 of 147 rows (gram downdate)"
+
+let test_golden_fit_multi () =
+  let amp = Circuit.Opamp.build ~n_parasitics:10 () in
+  let sims =
+    Array.map (Circuit.Opamp.simulator amp)
+      [| Circuit.Opamp.Gain; Circuit.Opamp.Offset |]
+  in
+  let basis = Polybasis.Basis.constant_linear (Circuit.Opamp.dim amp) in
+  let cfg =
+    config_exn
+      (Robust.Pipeline.config ~method_:Rsm.Solver.Lar ~samples:60
+         ~max_lambda:6
+         ~faults:(Simulator.fault_plan ~rate:0.2 ())
+         ~retry:Simulator.no_retry ~screen_space:Robust.Pipeline.Both
+         ~min_samples:20 ~quorum:0.5 ())
+  in
+  match Robust.Pipeline.fit_multi cfg sims basis (Randkit.Prng.create 12) with
+  | Error e -> Alcotest.failf "fit_multi: %s" (Robust.Error.to_string e)
+  | Ok o ->
+      Alcotest.(check (array string))
+        "model digests"
+        [| "e257ff96519afd19"; "3bc6b586c35f6e47" |]
+        (Array.map
+           (fun m -> hex64 (Rsm.Serialize.digest m))
+           o.Robust.Pipeline.models);
+      Alcotest.(check string)
+        "run report"
+        "51/60 samples delivered; 13 faults injected (6 non-finite, 4 \
+         outliers, 3 transient, 0 hangs); 0 retries; 9 abandoned; 0.0 s of \
+         extra simulation accounted"
+        (Simulator.report_summary o.Robust.Pipeline.m_run_report);
+      Alcotest.(check (array (option int)))
+        "response kept" [| Some 47; Some 47 |]
+        (Array.map kept_count o.Robust.Pipeline.screen_reports);
+      Alcotest.(check (option int))
+        "factor kept" (Some 47)
+        (p_kept_count o.Robust.Pipeline.m_point_report);
+      check_int "rows" 47
+        (Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
+
+(* --- the data stage against a hand-built reference -----------------
+
+   [Pipeline.prepare] must equal its stages composed by hand: one
+   [run_robust] per simulator (fault draws never depend on the values,
+   so every output sees the batch's delivered rows), each output's
+   response screen, the kept sets intersected, then one factor screen
+   on the shared points. The adaptive arm swaps in [Retry.run]. *)
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_dataset (a : Simulator.dataset) (b : Simulator.dataset) =
+  Array.length a.Simulator.points = Array.length b.Simulator.points
+  && Array.for_all2 same_floats a.Simulator.points b.Simulator.points
+  && same_floats a.Simulator.values b.Simulator.values
+
+let ok_exn what = function
+  | Ok x -> x
+  | Error e -> Alcotest.failf "%s: %s" what (Robust.Error.to_string e)
+
+let stage_faults =
+  Simulator.fault_plan ~rate:0.15
+    ~mix:
+      [|
+        (Simulator.Outlier, 2.); (Simulator.Nan_return, 1.);
+        (Simulator.Transient, 1.);
+      |]
+    ~outlier_scale:500.
+    ~burst:(Simulator.burst_model ~entry:0.04 ~len:12. ())
+    ()
+
+let stage_cfg ?adaptive () =
+  config_exn
+    (Robust.Pipeline.config ~samples:120 ~folds:3 ~max_lambda:5
+       ~min_samples:10 ~quorum:0.3 ~screen_space:Robust.Pipeline.Both
+       ~faults:stage_faults ~retry:(Simulator.retry_policy ()) ?adaptive ())
+
+let stage_sims r =
+  let amp = Circuit.Opamp.build ~n_parasitics:15 () in
+  let metrics =
+    [| Circuit.Opamp.Offset; Circuit.Opamp.Gain; Circuit.Opamp.Bandwidth |]
+  in
+  ( Array.map (Circuit.Opamp.simulator amp) (Array.sub metrics 0 r),
+    Polybasis.Basis.constant_linear (Circuit.Opamp.dim amp) )
+
+(* [delivered] holds one (dataset, run report) per output. *)
+let reference_stage (cfg : Robust.Pipeline.config) delivered =
+  let datasets = Array.map fst delivered in
+  let screens =
+    Array.map
+      (fun d ->
+        snd
+          (ok_exn "screen"
+             (Robust.Screen.screen ~threshold:cfg.screen_threshold d)))
+      datasets
+  in
+  let n = Simulator.dataset_size datasets.(0) in
+  let shared =
+    List.init n Fun.id
+    |> List.filter (fun i ->
+           Array.for_all (fun r -> Array.mem i r.Robust.Screen.kept) screens)
+    |> Array.of_list
+  in
+  let screened = Array.map (fun d -> Simulator.split d shared) datasets in
+  let _, point =
+    ok_exn "mahalanobis"
+      (Robust.Screen.mahalanobis ~confidence:cfg.screen_confidence
+         screened.(0))
+  in
+  ( Array.map (fun d -> Simulator.split d point.Robust.Screen.p_kept) screened,
+    screens,
+    point )
+
+let sans_extra (r : Simulator.run_report) =
+  { r with Simulator.accounted_extra_seconds = 0. }
+
+let check_prepared name cfg basis delivered ~run ~adaptive
+    (p : Robust.Pipeline.prepared) =
+  let datasets, screens, point = reference_stage cfg delivered in
+  check_bool (name ^ ": datasets bitwise") true
+    (Array.length datasets = Array.length p.datasets
+    && Array.for_all2 same_dataset datasets p.datasets);
+  check_bool (name ^ ": points shared") true
+    (Array.for_all
+       (fun d -> d.Simulator.points == p.datasets.(0).Simulator.points)
+       p.datasets);
+  check_bool (name ^ ": response screens") true
+    (p.screen_reports = Array.map Option.some screens);
+  check_bool (name ^ ": factor screen") true (p.point_report = Some point);
+  check_bool (name ^ ": run report") true (run p.run_report);
+  check_bool (name ^ ": adaptive report") true (adaptive p.adaptive_report);
+  let n = Simulator.dataset_size datasets.(0) in
+  check_bool (name ^ ": the response screen dropped rows") true
+    (Array.length screens.(0).Robust.Screen.dropped > 0);
+  Alcotest.(check (array string))
+    (name ^ ": notes")
+    [|
+      Robust.Pipeline.degraded_note ~requested:cfg.samples ~survived:n
+        ~quorum:cfg.quorum p.run_report;
+    |]
+    p.notes;
+  let expected =
+    Polybasis.Design.Provider.dense
+      (Polybasis.Design.matrix_rows basis datasets.(0).Simulator.points)
+  in
+  check_int (name ^ ": design rows") n (Polybasis.Design.Provider.rows p.src);
+  List.iter
+    (fun j ->
+      check_bool
+        (Printf.sprintf "%s: design column %d" name j)
+        true
+        (same_floats
+           (Polybasis.Design.Provider.column expected j)
+           (Polybasis.Design.Provider.column p.src j)))
+    [ 0; 1; Polybasis.Basis.size basis - 1 ]
+
+let prepare_at domains cfg sims basis =
+  let run pool =
+    ok_exn "prepare"
+      (Robust.Pipeline.prepare ?pool cfg sims basis (Randkit.Prng.create 31))
+  in
+  if domains = 1 then run None
+  else Parallel.Pool.with_pool ~domains (fun pool -> run (Some pool))
+
+let test_prepare_matches_reference () =
+  List.iter
+    (fun r ->
+      let sims, basis = stage_sims r in
+      let cfg = stage_cfg () in
+      let delivered =
+        Array.map
+          (fun sim ->
+            Simulator.run_robust ~faults:cfg.faults ~retry:cfg.retry sim
+              (Randkit.Prng.create 31) ~k:cfg.samples)
+          sims
+      in
+      check_bool "the delivery really was bursty" true
+        ((snd delivered.(0)).Simulator.burst_windows > 0);
+      let single = snd delivered.(0) in
+      List.iter
+        (fun domains ->
+          check_prepared
+            (Printf.sprintf "R=%d, %d domain(s)" r domains)
+            cfg basis delivered
+            ~run:(fun rep ->
+              if r = 1 then rep = single
+              else sans_extra rep = sans_extra single)
+            ~adaptive:Option.is_none
+            (prepare_at domains cfg sims basis))
+        pool_counts)
+    [ 1; 3 ]
+
+let test_prepare_adaptive_matches_retry_run () =
+  let sims, basis = stage_sims 1 in
+  let cfg = stage_cfg ~adaptive:(Retry.policy ~breaker_threshold:3 ()) () in
+  let d, log =
+    Retry.run ~faults:cfg.faults
+      (Option.get cfg.adaptive)
+      sims.(0) (Randkit.Prng.create 31) ~k:cfg.samples
+  in
+  check_bool "the breaker tripped" true
+    (log.Retry.run.Simulator.breaker_trips > 0);
+  List.iter
+    (fun domains ->
+      check_prepared
+        (Printf.sprintf "adaptive, %d domain(s)" domains)
+        cfg basis
+        [| (d, log.Retry.run) |]
+        ~run:(( = ) log.Retry.run)
+        ~adaptive:(( = ) (Some log))
+        (prepare_at domains cfg sims basis))
+    pool_counts
+
+let test_prepare_typed_failures () =
+  let expect name pred = function
+    | Error e when pred e -> ()
+    | Error e ->
+        Alcotest.failf "%s: wrong error %s" name (Robust.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected an error" name
+  in
+  let simulation sub = function
+    | Robust.Error.Simulation m -> contains m sub
+    | _ -> false
+  in
+  List.iter
+    (fun r ->
+      let sims, basis = stage_sims r in
+      let prepare ~min_samples ~quorum =
+        Robust.Pipeline.prepare
+          (config_exn
+             (Robust.Pipeline.config ~samples:150 ~min_samples ~quorum
+                ~faults:transient_storm ~retry:Simulator.no_retry ()))
+          sims basis (rng ())
+      in
+      expect
+        (Printf.sprintf "R=%d: min_samples floor" r)
+        (simulation "minimum 140")
+        (prepare ~min_samples:140 ~quorum:0.3);
+      expect
+        (Printf.sprintf "R=%d: quorum" r)
+        (simulation "quorum lost")
+        (prepare ~min_samples:10 ~quorum:0.9))
+    [ 1; 3 ];
+  let sims, basis = stage_sims 3 in
+  expect "adaptive with three simulators"
+    (function Robust.Error.Config _ -> true | _ -> false)
+    (Robust.Pipeline.prepare
+       (stage_cfg ~adaptive:(Retry.policy ()) ())
+       sims basis (rng ()));
+  expect "no simulators"
+    (function Robust.Error.Invalid_input _ -> true | _ -> false)
+    (Robust.Pipeline.prepare (stage_cfg ()) [||] basis (rng ()))
+
 (* --- qcheck properties --------------------------------------------- *)
 
 let qtest_burst_domain_parity =
@@ -657,6 +1003,18 @@ let suite =
         test_burst_fit_pool_parity;
       case "cv: killed-then-resumed burst-trained sweep is bitwise"
         test_burst_cv_resume_bitwise;
+      case "golden: fit under fixed retry and the response screen"
+        test_golden_fixed_retry;
+      case "golden: fit under bursts, breaker, both screens, degraded quorum"
+        test_golden_adaptive_burst;
+      case "golden: fit with the residual rescreen" test_golden_rescreen;
+      case "golden: fit_multi on two opamp metrics" test_golden_fit_multi;
+      case "prepare: R=1 and R=3 == hand-composed stages at 1/2/4 domains"
+        test_prepare_matches_reference;
+      case "prepare: adaptive R=1 == Retry.run then the screens"
+        test_prepare_adaptive_matches_retry_run;
+      case "prepare: floor, quorum and shape failures are typed"
+        test_prepare_typed_failures;
       qtest_burst_domain_parity;
       qtest_mahalanobis_order_invariant;
       qtest_response_screen_order_invariant;
